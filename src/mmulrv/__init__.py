@@ -8,7 +8,7 @@ from .guests import FieldContext, build_guest
 from .isa import Cpu, decode, expand_compressed
 from .machine import Machine, Memory, RegisterFile
 from .perf import (PowerModel, RunStats, estimate_energy,
-                   interrupt_latency_report, record_activity)
+                   interrupt_latency_report)
 
 __version__ = "0.1.0"
 
@@ -18,5 +18,4 @@ __all__ = [
     "address_generate", "build_guest", "capacity", "decode", "decode_r4",
     "encode_r4", "estimate_energy", "expand_compressed",
     "interrupt_latency_report", "layout_addresses", "r2mm_reference",
-    "record_activity",
 ]

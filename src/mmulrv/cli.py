@@ -2,7 +2,7 @@
 encodings, and self-test the engine against the big-integer oracle."""
 
 import argparse
-import dataclasses
+import functools
 import json
 import os
 import random
@@ -10,11 +10,12 @@ import sys
 
 from . import encoding
 from .engine import MmulOperands, r2mm_reference
-from .errors import SimError
-from .guests import (CONFIGS, GUEST_NAMES, FieldContext, build_guest)
+from .errors import InvalidConfig, SimError
+from .guests import GUEST_NAMES, build_guest
 from .isa import Cpu
 from .machine import DATA_BASE, Machine, Memory
-from .perf import (PowerModel, estimate_energy, interrupt_latency_report)
+from .perf import (CONFIGS, PowerModel, RunStats, estimate_energy,
+                   interrupt_latency_report)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -40,7 +41,7 @@ def _parse_params(pairs):
 
 def _parse_sweep(spec):
     start, end, step = (int(x, 0) for x in spec.split(":"))
-    if step <= 0 or end < start:
+    if step <= 0 or end <= start:
         raise SimError(f"bad sweep spec {spec!r}")
     return range(start, end, step)
 
@@ -49,79 +50,18 @@ def _execute(guest, args, config, irq_cycles=()):
     machine = _machine(args)
     guest.load(machine)
     cpu = Cpu(machine)
-    stats = cpu.run(budget=args.budget or guest.budget_hint,
-                    irq_schedule=irq_cycles, config=config)
-    return machine, stats
+    budget = guest.budget_hint if args.budget is None else args.budget
+    return cpu.run(budget=budget, irq_schedule=irq_cycles, config=config)
 
 
 def _run_one(args, config, irq_cycles=()):
     guest = build_guest(args.guest, config, _parse_params(args.set))
     if args.sweep:
-        # one run per assert cycle; latencies aggregate across the sweep
-        agg = None
-        for at in _parse_sweep(args.sweep):
-            _, stats = _execute(guest, args, config, irq_cycles=[at])
-            if agg is None:
-                agg = stats
-            else:
-                agg.total_cycles += stats.total_cycles
-                agg.retired += stats.retired
-                agg.mem_reads += stats.mem_reads
-                agg.mem_writes += stats.mem_writes
-                agg.fetch_cycles += stats.fetch_cycles
-                agg.decode_cycles += stats.decode_cycles
-                agg.alu_cycles += stats.alu_cycles
-                agg.regfile_cycles += stats.regfile_cycles
-                agg.mmul_cycles += stats.mmul_cycles
-                agg.mmul_invocations += stats.mmul_invocations
-                agg.mmul_engine_cycles += stats.mmul_engine_cycles
-                agg.interrupt_latencies.extend(stats.interrupt_latencies)
-                if stats.stop_reason != "halt":
-                    agg.stop_reason = stats.stop_reason
-                    agg.trap_cause = stats.trap_cause
-        return guest, agg
-    _, stats = _execute(guest, args, config, irq_cycles=irq_cycles)
-    return guest, stats
-
-
-def _report(stats, config, reference_energy=None, normalize=True):
-    model = PowerModel()
-    doc = stats.to_dict()
-    if normalize:
-        est = estimate_energy(stats, model, config,
-                              reference_energy=reference_energy)
-        doc["avg_power_watts"] = est.avg_power_watts
-        doc["normalized_energy"] = est.normalized_energy
-    else:
-        est = estimate_energy(stats, model, config, reference_energy=1.0)
-        est = dataclasses.replace(est, normalized_energy=None)
-        doc["avg_power_watts"] = est.avg_power_watts
-        doc["normalized_energy"] = None
-    return doc, est
-
-
-def _emit(doc, args):
-    if args.format == "json":
-        text = json.dumps(doc, indent=2)
-    else:
-        lines = [f"{'field':<24} value"]
-        for key, value in doc.items():
-            if key == "module_active_cycles":
-                for mod, cyc in value.items():
-                    lines.append(f"{'active.' + mod:<24} {cyc}")
-            elif key == "interrupt_latencies":
-                lats = [s - a for a, s in value]
-                lines.append(f"{'irq.count':<24} {len(lats)}")
-                if lats:
-                    lines.append(f"{'irq.max_latency':<24} {max(lats)}")
-            else:
-                lines.append(f"{key:<24} {value}")
-        text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        # one run per assert cycle; counters and latencies add up
+        return functools.reduce(RunStats.merge, (
+            _execute(guest, args, config, irq_cycles=[at])
+            for at in _parse_sweep(args.sweep)))
+    return _execute(guest, args, config, irq_cycles=irq_cycles)
 
 
 def _exit_code(stats):
@@ -132,70 +72,111 @@ def _exit_code(stats):
     return EXIT_TRAP
 
 
-def cmd_run(args):
-    config = args.config
-    irq = [int(x, 0) for x in args.irq or ()]
-    guest, stats = _run_one(args, config, irq_cycles=irq)
-    reference_energy = None
-    if config != "BA" and not args.sweep:
-        try:
-            _, ref_stats = _run_one(args, "BA")
-            ref_doc, ref_est = _report(ref_stats, "BA")
-            reference_energy = ref_est.energy
-        except SimError:
-            reference_energy = None
-    normalize = config == "BA" or reference_energy is not None
-    doc, _est = _report(stats, config, reference_energy=reference_energy,
-                        normalize=normalize)
-    if stats.interrupt_latencies:
-        doc["interrupt_latency_report"] = interrupt_latency_report(stats)
-    _emit(doc, args)
-    return _exit_code(stats)
+def _report(stats, reference_energy=None):
+    """The run's report doc and its energy.
+
+    Energy figures stay null unless the run halted cleanly.
+    normalized_energy divides by `reference_energy`, the energy of a clean
+    BA run of the same guest (a BA run is its own reference), and stays
+    null without one.
+    """
+    doc = stats.to_dict()
+    doc["avg_power_watts"] = doc["normalized_energy"] = None
+    if _exit_code(stats) != EXIT_OK:
+        return doc, None
+    # normalized here rather than in estimate_energy, which refuses a
+    # non-BA run without a reference
+    est = estimate_energy(stats, PowerModel(), stats.config,
+                          reference_energy=1.0)
+    if stats.config == "BA":
+        reference_energy = est.energy
+    doc["avg_power_watts"] = est.avg_power_watts
+    if reference_energy is not None:
+        doc["normalized_energy"] = est.energy / reference_energy
+    return doc, est.energy
 
 
-def cmd_compare(args):
-    results = {}
-    reference_energy = None
-    configs = args.configs or list(CONFIGS)
-    for config in configs:
-        guest, stats = _run_one(args, config)
-        doc, est = _report(stats, config,
-                           reference_energy=reference_energy,
-                           normalize=config == "BA"
-                           or reference_energy is not None)
-        if config == "BA":
-            reference_energy = est.energy
-        results[config] = (stats, est)
-    base_cycles = results[configs[0]][0].total_cycles
-    rows = []
-    for config in configs:
-        stats, est = results[config]
-        speedup = base_cycles / stats.total_cycles
-        rows.append({"config": config, "cycles": stats.total_cycles,
-                     "speedup": round(speedup, 3),
-                     "avg_power_watts": round(est.avg_power_watts, 4),
-                     "normalized_energy":
-                         None if est.normalized_energy is None
-                         else round(est.normalized_energy, 5)})
-    doc = {"guest": args.guest, "rows": rows}
-    if args.format == "json":
-        text = json.dumps(doc, indent=2)
-    else:
-        hdr = f"{'config':<8} {'cycles':>12} {'speedup':>9} " \
-              f"{'power(W)':>9} {'norm.energy':>12}"
-        lines = [f"guest: {args.guest}", hdr]
-        for row in rows:
-            ne = row["normalized_energy"]
-            lines.append(f"{row['config']:<8} {row['cycles']:>12} "
-                         f"{row['speedup']:>9} {row['avg_power_watts']:>9} "
-                         f"{ne if ne is not None else '-':>12}")
-        text = "\n".join(lines)
+def _write(args, doc, table):
+    """doc as JSON or as the text `table(doc)`, to --out or stdout."""
+    text = json.dumps(doc, indent=2) if args.format == "json" else table(doc)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    return EXIT_OK
+
+
+def _run_table(doc):
+    lines = [f"{'field':<24} value"]
+    for key, value in doc.items():
+        if key == "module_active_cycles":
+            for mod, cyc in value.items():
+                lines.append(f"{'active.' + mod:<24} {cyc}")
+        elif key == "interrupt_latencies":
+            lats = [s - a for a, s in value]
+            lines.append(f"{'irq.count':<24} {len(lats)}")
+            if lats:
+                lines.append(f"{'irq.max_latency':<24} {max(lats)}")
+        else:
+            lines.append(f"{key:<24} {value}")
+    return "\n".join(lines)
+
+
+def _compare_table(doc):
+    lines = [f"guest: {doc['guest']}",
+             f"{'config':<8} {'cycles':>12} {'speedup':>9} "
+             f"{'power(W)':>9} {'norm.energy':>12}"]
+    for row in doc["rows"]:
+        cells = ["-" if row[k] is None else row[k]
+                 for k in ("speedup", "avg_power_watts", "normalized_energy")]
+        lines.append(f"{row['config']:<8} {row['cycles']:>12} "
+                     f"{cells[0]:>9} {cells[1]:>9} {cells[2]:>12}")
+    return "\n".join(lines)
+
+
+def cmd_run(args):
+    config = args.config
+    irq = [int(x, 0) for x in args.irq or ()]
+    stats = _run_one(args, config, irq_cycles=irq)
+    reference_energy = None
+    if config != "BA" and not args.sweep:
+        try:
+            _, reference_energy = _report(_run_one(args, "BA"))
+        except InvalidConfig:  # the guest pins a non-BA configuration
+            pass
+    doc, _ = _report(stats, reference_energy)
+    if stats.interrupt_latencies:
+        doc["interrupt_latency_report"] = interrupt_latency_report(stats)
+    _write(args, doc, _run_table)
+    return _exit_code(stats)
+
+
+def _rounded(value, digits):
+    return None if value is None else round(value, digits)
+
+
+def cmd_compare(args):
+    """Speedup is against the first configuration and, like the energy
+    figures, null unless both runs halted cleanly.  The exit code is that
+    of the first run that did not."""
+    configs = args.configs or list(CONFIGS)
+    runs = {config: _run_one(args, config) for config in configs}
+    reference_energy = _report(runs["BA"])[1] if "BA" in runs else None
+    base = runs[configs[0]]
+    rows = []
+    for config in configs:
+        stats = runs[config]
+        doc, _ = _report(stats, reference_energy)
+        clean = _exit_code(stats) == _exit_code(base) == EXIT_OK
+        rows.append({"config": config, "cycles": stats.total_cycles,
+                     "speedup": _rounded(base.total_cycles / stats.total_cycles
+                                         if clean else None, 3),
+                     "avg_power_watts": _rounded(doc["avg_power_watts"], 4),
+                     "normalized_energy":
+                         _rounded(doc["normalized_energy"], 5)})
+    _write(args, {"guest": args.guest, "rows": rows}, _compare_table)
+    codes = [_exit_code(runs[config]) for config in configs]
+    return next((code for code in codes if code != EXIT_OK), EXIT_OK)
 
 
 def cmd_selftest(args):

@@ -12,8 +12,6 @@ from .errors import NotMmul, RegisterOutOfRange, WordsOutOfRange
 
 OPCODE_CUSTOM0 = 0x0B  # 0b0001011, reserved custom-0 space
 
-FORMATS = ("I", "R", "R4")
-
 
 def encode_r4(rd, rs1, rs2, rs3, words):
     """Pack an MMUL instruction.

@@ -15,7 +15,7 @@ Two execution shapes:
 from dataclasses import dataclass
 
 from .errors import (EvenModulus, LengthExceedsHardwareMax, MisalignedAccess,
-                     OperandTooLarge)
+                     OperandTooLarge, SequenceBroken)
 
 
 def r2mm_reference(a, b, n_mod, n_bits):
@@ -65,7 +65,6 @@ class AtomicResult:
 
 @dataclass(frozen=True)
 class PartialCallResult:
-    retired: bool
     call_kind: str  # first | middle | last
     cycles: int
 
@@ -76,35 +75,47 @@ def address_generate(base, word_offset):
 
 
 class MmulEngine:
-    """Sub-state of one machine; single-threaded stepping only."""
+    """Sub-state of one machine; single-threaded stepping only.
+
+    One datapath serves both modes: `_begin` latches an operation,
+    `_process_bit` advances it by one bit and `_finish` retires it.  An atomic
+    call runs all three; partial calls spread them over n_bits issues.
+    """
 
     def __init__(self, max_words=8):
         self.max_words = max_words
         self.reset()
 
     def reset(self):
-        self.phase = "idle"
+        self.latched = None
         self.s_accum = 0
         self.bit_index = 0
-        self.q_bit = 0
-        self.latched = None
         self.buf_a = 0
         self.buf_b = 0
         self.buf_n = 0
-        self.partial_mode = False
 
     @property
     def busy(self):
-        return self.phase != "idle"
+        return self.latched is not None
 
     def status_word(self):
         """Read-only status CSR: busy in bit 0, bit index in bits 8..15."""
         return (1 if self.busy else 0) | ((self.bit_index & 0xFF) << 8)
 
-    # -- memory traffic ----------------------------------------------------
+    # -- datapath ----------------------------------------------------------
 
-    def _load_operands(self, machine, ops):
-        """3 * words loads through the LSU; returns their cycle cost."""
+    def _begin(self, machine, ops):
+        """Checks the operation and pulls its 3*words operand words through
+        the LSU; latches it only when every check and load succeeded, so a
+        fault leaves the engine idle.  Returns the load cycles."""
+        if ops.words > self.max_words:
+            raise LengthExceedsHardwareMax(
+                f"words={ops.words} exceeds hardware limit {self.max_words}")
+        if ops.words < 1:
+            raise LengthExceedsHardwareMax("words must be >= 1")
+        for addr in (ops.addr_a, ops.addr_b, ops.addr_n, ops.addr_p):
+            if addr & 3:
+                raise MisalignedAccess(f"operand address 0x{addr:08x}")
         cycles = 0
         bufs = []
         for base in (ops.addr_a, ops.addr_b, ops.addr_n):
@@ -114,42 +125,35 @@ class MmulEngine:
                 value |= word << (32 * j)
                 cycles += lat
             bufs.append(value)
+        if bufs[2] % 2 == 0:
+            raise EvenModulus("modulus loaded from memory is even")
         self.buf_a, self.buf_b, self.buf_n = bufs
+        self.s_accum = 0
+        self.bit_index = 0
+        self.latched = ops
         return cycles
-
-    def _store_result(self, machine, ops):
-        """words stores of the accumulator; returns their cycle cost."""
-        cycles = 0
-        for j in range(ops.words):
-            word = (self.s_accum >> (32 * j)) & 0xFFFFFFFF
-            cycles += machine.store_word(address_generate(ops.addr_p, j), word)
-        return cycles
-
-    def _check_length(self, ops):
-        if ops.words > self.max_words:
-            raise LengthExceedsHardwareMax(
-                f"words={ops.words} exceeds hardware limit {self.max_words}")
-        if ops.words < 1:
-            raise LengthExceedsHardwareMax("words must be >= 1")
-        for addr in (ops.addr_a, ops.addr_b, ops.addr_n, ops.addr_p):
-            if addr & 3:
-                raise MisalignedAccess(f"operand address 0x{addr:08x}")
-
-    # -- per-bit datapath --------------------------------------------------
 
     def _process_bit(self):
-        i = self.bit_index
-        if (self.buf_a >> i) & 1:
-            self.s_accum += self.buf_b
-        self.q_bit = self.s_accum & 1
-        if self.q_bit:
-            self.s_accum += self.buf_n
-        self.s_accum >>= 1
-        self.bit_index = i + 1
+        s = self.s_accum
+        if (self.buf_a >> self.bit_index) & 1:
+            s += self.buf_b
+        if s & 1:
+            s += self.buf_n
+        self.s_accum = s >> 1
+        self.bit_index += 1
 
-    def _final_subtract(self):
-        if self.s_accum >= self.buf_n:
-            self.s_accum -= self.buf_n
+    def _finish(self, machine):
+        """Final subtraction and the words result stores; the engine is idle
+        again even if a store faults.  Returns 1 + the store cycles."""
+        ops, s = self.latched, self.s_accum
+        if s >= self.buf_n:
+            s -= self.buf_n
+        self.reset()
+        cycles = 1
+        for j in range(ops.words):
+            cycles += machine.store_word(address_generate(ops.addr_p, j),
+                                         (s >> (32 * j)) & 0xFFFFFFFF)
+        return cycles
 
     # -- execution modes ---------------------------------------------------
 
@@ -160,29 +164,15 @@ class MmulEngine:
         of 3*words loads and words stores; the compute portion is
         data-independent by construction.
         """
-        assert not self.busy, "engine must be idle for atomic execution"
-        self._check_length(ops)
-        self.latched = ops
-        self.phase = "loading"
-        cycles = self._load_operands(machine, ops)
-        if self.buf_n % 2 == 0:
-            self.reset()
-            raise EvenModulus("modulus loaded from memory is even")
-        self.phase = "iterating"
-        self.s_accum = 0
-        self.bit_index = 0
+        if self.busy:
+            raise SequenceBroken(
+                "atomic MMUL issued while a partial sequence is in flight")
+        cycles = self._begin(machine, ops)
         n_bits = ops.n_bits
         for _ in range(n_bits):
             self._process_bit()
-        cycles += 2 * n_bits
-        self.phase = "final_subtract"
-        self._final_subtract()
-        cycles += 1
-        self.phase = "storing"
-        cycles += self._store_result(machine, ops)
-        compute = 2 * n_bits + 1
-        self.reset()
-        return AtomicResult(cycles=cycles, compute_cycles=compute,
+        cycles += 2 * n_bits + self._finish(machine)
+        return AtomicResult(cycles=cycles, compute_cycles=2 * n_bits + 1,
                             loads=3 * ops.words, stores=ops.words)
 
     def execute_partial_call(self, machine, ops):
@@ -195,33 +185,10 @@ class MmulEngine:
         operands: the latched operation drives progress.
         """
         if not self.busy:
-            self._check_length(ops)
-            self.latched = ops
-            self.partial_mode = True
-            self.phase = "loading"
-            cycles = self._load_operands(machine, ops)
-            if self.buf_n % 2 == 0:
-                self.reset()
-                raise EvenModulus("modulus loaded from memory is even")
-            self.s_accum = 0
-            self.bit_index = 0
-            self.phase = "iterating"
+            cycles = self._begin(machine, ops) + 2
             self._process_bit()
-            cycles += 2
-            if self.latched.n_bits == 1:  # degenerate, not reachable via R4
-                return self._finish_partial(machine, cycles)
-            return PartialCallResult(True, "first", cycles)
-        ops = self.latched
+            return PartialCallResult("first", cycles)
         self._process_bit()
-        if self.bit_index == ops.n_bits:
-            return self._finish_partial(machine, 2)
-        return PartialCallResult(True, "middle", 2)
-
-    def _finish_partial(self, machine, bit_cycles):
-        ops = self.latched
-        self.phase = "final_subtract"
-        self._final_subtract()
-        self.phase = "storing"
-        cycles = bit_cycles + 1 + self._store_result(machine, ops)
-        self.reset()
-        return PartialCallResult(True, "last", cycles)
+        if self.bit_index < self.latched.n_bits:
+            return PartialCallResult("middle", 2)
+        return PartialCallResult("last", 2 + self._finish(machine))

@@ -63,7 +63,3 @@ class GuestNotFound(SimError):
 
 class InvalidConfig(SimError):
     pass
-
-
-class MismatchedWorkloads(SimError):
-    pass

@@ -17,11 +17,9 @@ from dataclasses import dataclass, field
 
 from .asm import Asm
 from .errors import GuestNotFound, InvalidConfig
-from .machine import (CODE_BASE, DATA_BASE, MIE, MIP, MMUL_MODE, MSTATUS)
-
-MCYCLE = 0xB00
-
-CONFIGS = ("BA", "CI-AE", "CI-PE")
+from .machine import (CODE_BASE, DATA_BASE, MCYCLE, MIE, MIP, MMUL_MODE,
+                      MSTATUS, MTVEC)
+from .perf import CONFIGS
 
 P25519 = (1 << 255) - 19
 P128 = (1 << 127) - 1  # Mersenne prime, 4 words
@@ -103,24 +101,64 @@ class GuestProgram:
 # modular multiplication subroutines ('montmul', args x10..x13)
 # ---------------------------------------------------------------------------
 
-def _emit_add_into_s(a, tag, s_addr, words):
-    """S[0..W] += *x9 over W words, carry propagated into S[W]."""
-    a.li(8, s_addr)
+def _emit_loop_end(a, tag, *pointers):
+    """Advance each distinct pointer one word; loop back to tag while --x6."""
+    for r in dict.fromkeys(pointers):
+        a.addi(r, r, 4)
+    a.addi(6, 6, -1)
+    a.bne(6, 0, tag)
+
+
+def _emit_add_loop(a, tag, words, src, addend, dst):
+    """*dst = *src + *addend over `words` words; carry out left in x4.
+
+    Pointer registers advance; src == dst adds in place.  Scratch: x5, x6,
+    x14, x15.
+    """
     a.li(4, 0)
     a.li(6, words)
     a.label(tag)
-    a.lw(5, 8, 0)
-    a.lw(14, 9, 0)
+    a.lw(5, src, 0)
+    a.lw(14, addend, 0)
     a.add(5, 5, 14)
     a.sltu(14, 5, 14)
     a.add(5, 5, 4)
     a.sltu(15, 5, 4)
     a.or_(4, 14, 15)
-    a.sw(5, 8, 0)
-    a.addi(8, 8, 4)
-    a.addi(9, 9, 4)
-    a.addi(6, 6, -1)
-    a.bne(6, 0, tag)
+    a.sw(5, dst, 0)
+    _emit_loop_end(a, tag, src, addend, dst)
+
+
+def _emit_sub_loop(a, tag, words, src, subtrahend, dst, borrow=4, temp=3):
+    """*dst = *src - *subtrahend over `words` words; borrow out left in
+    `borrow`.  Pointer registers advance.  Scratch: x5, x6, x14, `temp`."""
+    a.li(borrow, 0)
+    a.li(6, words)
+    a.label(tag)
+    a.lw(5, src, 0)
+    a.lw(14, subtrahend, 0)
+    a.sltu(temp, 5, 14)
+    a.sub(5, 5, 14)
+    a.sltu(14, 5, borrow)
+    a.sub(5, 5, borrow)
+    a.or_(borrow, temp, 14)
+    a.sw(5, dst, 0)
+    _emit_loop_end(a, tag, src, subtrahend, dst)
+
+
+def _emit_copy_loop(a, tag, words, src, dst):
+    """*dst = *src over `words` words.  Scratch: x5, x6."""
+    a.li(6, words)
+    a.label(tag)
+    a.lw(5, src, 0)
+    a.sw(5, dst, 0)
+    _emit_loop_end(a, tag, src, dst)
+
+
+def _emit_add_into_s(a, tag, s_addr, words):
+    """S[0..W] += *x9 over W words, carry propagated into S[W]."""
+    a.li(8, s_addr)
+    _emit_add_loop(a, tag, words, 8, 9, 8)
     a.lw(5, 8, 0)
     a.add(5, 5, 4)
     a.sw(5, 8, 0)
@@ -143,9 +181,7 @@ def emit_software_montmul(a, dl, ctx):
     a.li(6, W + 1)
     a.label("mm_zero")
     a.sw(0, 5, 0)
-    a.addi(5, 5, 4)
-    a.addi(6, 6, -1)
-    a.bne(6, 0, "mm_zero")
+    _emit_loop_end(a, "mm_zero", 5)
     a.li(3, ctx.n_bits)
     a.li(7, 0)  # bit counter
     a.label("mm_outer")
@@ -178,9 +214,7 @@ def emit_software_montmul(a, dl, ctx):
     a.slli(14, 14, 31)
     a.or_(5, 5, 14)
     a.sw(5, 8, 0)
-    a.addi(8, 8, 4)
-    a.addi(6, 6, -1)
-    a.bne(6, 0, "mm_shr")
+    _emit_loop_end(a, "mm_shr", 8)
     a.lw(5, 8, 0)
     a.srli(5, 5, 1)
     a.sw(5, 8, 0)
@@ -190,88 +224,28 @@ def emit_software_montmul(a, dl, ctx):
     a.li(8, s_addr)
     a.mv(9, 12)
     a.mv(15, 13)
-    a.li(4, 0)
-    a.li(6, W)
-    a.label("mm_sub")
-    a.lw(5, 8, 0)
-    a.lw(14, 9, 0)
-    a.sltu(3, 5, 14)
-    a.sub(5, 5, 14)
-    a.sltu(14, 5, 4)
-    a.sub(5, 5, 4)
-    a.or_(4, 3, 14)
-    a.sw(5, 15, 0)
-    a.addi(8, 8, 4)
-    a.addi(9, 9, 4)
-    a.addi(15, 15, 4)
-    a.addi(6, 6, -1)
-    a.bne(6, 0, "mm_sub")
+    _emit_sub_loop(a, "mm_sub", W, 8, 9, 15)
     a.lw(5, 8, 0)  # top accumulator word: nonzero means S >= 2^n > N
     a.bne(5, 0, "mm_done")
     a.beq(4, 0, "mm_done")  # no borrow: S >= N, difference stands
     a.li(8, s_addr)
     a.mv(15, 13)
-    a.li(6, W)
-    a.label("mm_copy")
-    a.lw(5, 8, 0)
-    a.sw(5, 15, 0)
-    a.addi(8, 8, 4)
-    a.addi(15, 15, 4)
-    a.addi(6, 6, -1)
-    a.bne(6, 0, "mm_copy")
+    _emit_copy_loop(a, "mm_copy", W, 8, 15)
     a.label("mm_done")
-    a.ret()
-
-
-def emit_mmul_atomic_subroutine(a, ctx):
-    a.label("montmul")
-    a.mmul(13, 10, 11, 12, ctx.words)
-    a.ret()
-
-
-def emit_mmul_partial_subroutine(a, ctx):
-    """n_bits identical MMUL issues; mode bit is set once by the caller."""
-    a.label("montmul")
-    for _ in range(ctx.n_bits):
-        a.mmul(13, 10, 11, 12, ctx.words)
     a.ret()
 
 
 def emit_montmul_subroutine(a, dl, ctx, config):
     if config == "BA":
         emit_software_montmul(a, dl, ctx)
-    elif config == "CI-AE":
-        emit_mmul_atomic_subroutine(a, ctx)
-    elif config == "CI-PE":
-        emit_mmul_partial_subroutine(a, ctx)
-    else:
+        return
+    if config not in CONFIGS:
         raise InvalidConfig(f"unknown configuration {config!r}")
-
-
-# ---------------------------------------------------------------------------
-# inline fragments (for instruction-count and equivalence checks)
-# ---------------------------------------------------------------------------
-
-def emit_mmul_atomic(a, dl, ctx, sym_a, sym_b, sym_p, sym_n="modulus"):
-    """Address setup (4 constant loads) + one MMUL."""
-    a.li(10, dl.addr(sym_a))
-    a.li(11, dl.addr(sym_b))
-    a.li(12, dl.addr(sym_n))
-    a.li(13, dl.addr(sym_p))
-    a.mmul(13, 10, 11, 12, ctx.words)
-
-
-def emit_mmul_partial_unrolled(a, dl, ctx, sym_a, sym_b, sym_p,
-                               sym_n="modulus"):
-    """csr write to enter partial mode, n_bits unrolled MMULs, csr clear."""
-    a.csrrwi(0, MMUL_MODE, 1)
-    a.li(10, dl.addr(sym_a))
-    a.li(11, dl.addr(sym_b))
-    a.li(12, dl.addr(sym_n))
-    a.li(13, dl.addr(sym_p))
-    for _ in range(ctx.n_bits):
+    a.label("montmul")
+    # CI-PE: n_bits identical issues; the caller sets the mode bit once
+    for _ in range(ctx.n_bits if config == "CI-PE" else 1):
         a.mmul(13, 10, 11, 12, ctx.words)
-    a.csrrwi(0, MMUL_MODE, 0)
+    a.ret()
 
 
 # ---------------------------------------------------------------------------
@@ -289,54 +263,17 @@ def emit_field_add(a, dl, ctx):
     a.mv(7, 10)
     a.mv(9, 11)
     a.li(8, t_addr)
-    a.li(4, 0)
-    a.li(6, W)
-    a.label("fa_add")
-    a.lw(5, 7, 0)
-    a.lw(14, 9, 0)
-    a.add(5, 5, 14)
-    a.sltu(14, 5, 14)
-    a.add(5, 5, 4)
-    a.sltu(15, 5, 4)
-    a.or_(4, 14, 15)
-    a.sw(5, 8, 0)
-    a.addi(7, 7, 4)
-    a.addi(9, 9, 4)
-    a.addi(8, 8, 4)
-    a.addi(6, 6, -1)
-    a.bne(6, 0, "fa_add")
+    _emit_add_loop(a, "fa_add", W, 7, 9, 8)
     # x4 = carry out; t - N into dst, borrow in x3
     a.li(8, t_addr)
     a.li(9, n_addr)
     a.mv(15, 13)
-    a.li(3, 0)
-    a.li(6, W)
-    a.label("fa_sub")
-    a.lw(5, 8, 0)
-    a.lw(14, 9, 0)
-    a.sltu(7, 5, 14)
-    a.sub(5, 5, 14)
-    a.sltu(14, 5, 3)
-    a.sub(5, 5, 3)
-    a.or_(3, 7, 14)
-    a.sw(5, 15, 0)
-    a.addi(8, 8, 4)
-    a.addi(9, 9, 4)
-    a.addi(15, 15, 4)
-    a.addi(6, 6, -1)
-    a.bne(6, 0, "fa_sub")
+    _emit_sub_loop(a, "fa_sub", W, 8, 9, 15, borrow=3, temp=7)
     a.bne(4, 0, "fa_done")  # carry out: sum >= 2^n > N, keep difference
     a.beq(3, 0, "fa_done")  # no borrow: sum >= N, keep difference
     a.li(8, t_addr)
     a.mv(15, 13)
-    a.li(6, W)
-    a.label("fa_copy")
-    a.lw(5, 8, 0)
-    a.sw(5, 15, 0)
-    a.addi(8, 8, 4)
-    a.addi(15, 15, 4)
-    a.addi(6, 6, -1)
-    a.bne(6, 0, "fa_copy")
+    _emit_copy_loop(a, "fa_copy", W, 8, 15)
     a.label("fa_done")
     a.ret()
 
@@ -349,41 +286,12 @@ def emit_field_sub(a, dl, ctx):
     a.mv(7, 10)
     a.mv(9, 11)
     a.mv(8, 13)
-    a.li(4, 0)
-    a.li(6, W)
-    a.label("fs_sub")
-    a.lw(5, 7, 0)
-    a.lw(14, 9, 0)
-    a.sltu(3, 5, 14)
-    a.sub(5, 5, 14)
-    a.sltu(14, 5, 4)
-    a.sub(5, 5, 4)
-    a.or_(4, 3, 14)
-    a.sw(5, 8, 0)
-    a.addi(7, 7, 4)
-    a.addi(9, 9, 4)
-    a.addi(8, 8, 4)
-    a.addi(6, 6, -1)
-    a.bne(6, 0, "fs_sub")
+    _emit_sub_loop(a, "fs_sub", W, 7, 9, 8)
     a.beq(4, 0, "fs_done")
     # borrowed: add N back
     a.mv(8, 13)
     a.li(9, n_addr)
-    a.li(4, 0)
-    a.li(6, W)
-    a.label("fs_fix")
-    a.lw(5, 8, 0)
-    a.lw(14, 9, 0)
-    a.add(5, 5, 14)
-    a.sltu(14, 5, 14)
-    a.add(5, 5, 4)
-    a.sltu(15, 5, 4)
-    a.or_(4, 14, 15)
-    a.sw(5, 8, 0)
-    a.addi(8, 8, 4)
-    a.addi(9, 9, 4)
-    a.addi(6, 6, -1)
-    a.bne(6, 0, "fs_fix")
+    _emit_add_loop(a, "fs_fix", W, 8, 9, 8)
     a.label("fs_done")
     a.ret()
 
@@ -401,10 +309,7 @@ def emit_cswap(a, dl, ctx):
     a.lw(14, 9, 0)
     a.sw(14, 8, 0)
     a.sw(5, 9, 0)
-    a.addi(8, 8, 4)
-    a.addi(9, 9, 4)
-    a.addi(6, 6, -1)
-    a.bne(6, 0, "cw_loop")
+    _emit_loop_end(a, "cw_loop", 8, 9)
     a.label("cw_done")
     a.ret()
 
@@ -454,7 +359,7 @@ def _prologue(a, dl, config, with_irq_harness=False):
         a.mret()
         a.label("hx_start")
         a.li(5, a.labels["hx_handler"])
-        a.csrrw(0, 0x305, 5)  # mtvec
+        a.csrrw(0, MTVEC, 5)
         a.addi(5, 0, 1)
         a.slli(5, 5, 11)
         a.csrrw(0, MIE, 5)
@@ -466,6 +371,13 @@ def _prologue(a, dl, config, with_irq_harness=False):
 def _halt(a):
     a.li(10, 0)
     a.ecall()
+
+
+def _program(name, config, a, dl, budget_hint, meta):
+    return GuestProgram(
+        name=name, config=config, code=a.assemble(), entry=CODE_BASE,
+        data=dict(dl.symbols), data_init=list(dl.init), listing=a.dump(),
+        budget_hint=budget_hint, meta=meta)
 
 
 def emit_modexp(ctx, exponent_bits, base, exponent, config,
@@ -515,13 +427,11 @@ def emit_modexp(ctx, exponent_bits, base, exponent, config,
     _halt(a)
     emit_montmul_subroutine(a, dl, ctx, config)
 
-    return GuestProgram(
-        name=name, config=config, code=a.assemble(), entry=CODE_BASE,
-        data=dict(dl.symbols), data_init=list(dl.init), listing=a.dump(),
-        budget_hint=200_000_000 if config == "BA" else 5_000_000,
-        meta={"modulus": ctx.modulus, "words": W, "base": base,
-              "exponent": exponent, "exponent_bits": exponent_bits,
-              "result_symbols": ["result"]})
+    return _program(
+        name, config, a, dl, 200_000_000 if config == "BA" else 5_000_000,
+        {"modulus": ctx.modulus, "words": W, "base": base,
+         "exponent": exponent, "exponent_bits": exponent_bits,
+         "result_symbols": ["result"]})
 
 
 def emit_ladder_x25519_field(scalar, u, config, scalar_bits=None,
@@ -617,13 +527,11 @@ def emit_ladder_x25519_field(scalar, u, config, scalar_bits=None,
     emit_field_sub(a, dl, ctx)
     emit_cswap(a, dl, ctx)
 
-    return GuestProgram(
-        name=name, config=config, code=a.assemble(), entry=CODE_BASE,
-        data=dict(dl.symbols), data_init=list(dl.init), listing=a.dump(),
-        budget_hint=400_000_000 if config == "BA" else 10_000_000,
-        meta={"modulus": ctx.modulus, "words": W, "scalar": scalar,
-              "scalar_bits": scalar_bits, "u": u,
-              "result_symbols": ["out_x", "out_z"]})
+    return _program(
+        name, config, a, dl, 400_000_000 if config == "BA" else 10_000_000,
+        {"modulus": ctx.modulus, "words": W, "scalar": scalar,
+         "scalar_bits": scalar_bits, "u": u,
+         "result_symbols": ["out_x", "out_z"]})
 
 
 def ladder_reference(u, scalar, scalar_bits, p=P25519):
@@ -676,17 +584,10 @@ def emit_single_montmul(ctx, a_val, b_val, config, with_irq_harness=False,
     _call_montmul(a, dl, "op_a", "op_b", "result")
     _halt(a)
     emit_montmul_subroutine(a, dl, ctx, config)
-    return GuestProgram(
-        name=name, config=config, code=a.assemble(), entry=CODE_BASE,
-        data=dict(dl.symbols), data_init=list(dl.init), listing=a.dump(),
-        budget_hint=50_000_000 if config == "BA" else 1_000_000,
-        meta={"modulus": ctx.modulus, "words": W, "a": a_val, "b": b_val,
-              "result_symbols": ["result"]})
-
-
-def emit_interrupt_harness(inner_builder, config, **kwargs):
-    """Wrap a kernel with the timestamping trap handler."""
-    return inner_builder(config=config, with_irq_harness=True, **kwargs)
+    return _program(
+        name, config, a, dl, 50_000_000 if config == "BA" else 1_000_000,
+        {"modulus": ctx.modulus, "words": W, "a": a_val, "b": b_val,
+         "result_symbols": ["result"]})
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +596,7 @@ def emit_interrupt_harness(inner_builder, config, **kwargs):
 
 _IRQ_A = 0x1234567890ABCDEF1122334455667788 * (1 << 124) + 987654321
 _IRQ_B = 0x0FEDCBA987654321AABBCCDDEEFF0011 * (1 << 120) + 123456789
+_IRQ_SWEEP_CONFIG = {"irq_sweep_atomic": "CI-AE", "irq_sweep_partial": "CI-PE"}
 
 
 def build_guest(name, config, params=None):
@@ -716,16 +618,10 @@ def build_guest(name, config, params=None):
         return emit_ladder_x25519_field(
             p.get("scalar", 0x2B), p.get("u", 9), config,
             scalar_bits=p.get("scalar_bits"), name=name)
-    if name == "irq_sweep_atomic":
-        if config != "CI-AE":
-            raise InvalidConfig("irq_sweep_atomic requires config CI-AE")
-        ctx = FieldContext(p.get("modulus", P25519), 8)
-        return emit_single_montmul(ctx, p.get("a", _IRQ_A),
-                                   p.get("b", _IRQ_B), config,
-                                   with_irq_harness=True, name=name)
-    if name == "irq_sweep_partial":
-        if config != "CI-PE":
-            raise InvalidConfig("irq_sweep_partial requires config CI-PE")
+    if name in _IRQ_SWEEP_CONFIG:
+        if config != _IRQ_SWEEP_CONFIG[name]:
+            raise InvalidConfig(
+                f"{name} requires config {_IRQ_SWEEP_CONFIG[name]}")
         ctx = FieldContext(p.get("modulus", P25519), 8)
         return emit_single_montmul(ctx, p.get("a", _IRQ_A),
                                    p.get("b", _IRQ_B), config,

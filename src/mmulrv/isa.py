@@ -337,8 +337,7 @@ class Cpu:
         m.pc = m.csr[MTVEC]
         m.in_handler = True
         m.cycle += self.trap_entry_cycles
-        m.stats.interrupt_latencies.append(
-            (m.irq_assert_cycle[0], m.cycle))
+        m.stats.interrupt_latencies.append((m.irq_assert_cycle, m.cycle))
         return StepReport("irq", self.trap_entry_cycles, CAUSE_MEXT_IRQ)
 
     # -- one instruction ---------------------------------------------------
@@ -510,7 +509,6 @@ class Cpu:
             res = eng.execute_atomic(m, ops)
             stats.mmul_invocations += 1
         stats.mmul_cycles += res.cycles
-        stats.mmul_engine_cycles += res.cycles
         m.pc = (m.pc + 4) & M32
         return res.cycles
 

@@ -101,7 +101,7 @@ class Memory:
 class Machine:
     """One simulated core's worth of architectural state."""
 
-    def __init__(self, memory=None, max_words=8, num_irq_lines=1):
+    def __init__(self, memory=None, max_words=8):
         self.mem = memory if memory is not None else Memory()
         self.regs = RegisterFile()
         self.pc = CODE_BASE
@@ -110,9 +110,8 @@ class Machine:
         self.stats = RunStats()
         self.csr = {a: 0 for a in _CSR_MASKS}
         self.csr[MIP] = 0  # reads/writes routed to the interrupt line
-        self.num_irq_lines = num_irq_lines
-        self.irq_pending = [False] * num_irq_lines
-        self.irq_assert_cycle = [0] * num_irq_lines
+        self.irq_pending = False  # the one external line, line 0
+        self.irq_assert_cycle = 0
         self.in_handler = False
         self.halted = False
         self.exit_code = 0
@@ -183,34 +182,31 @@ class Machine:
 
     def _csr_read(self, addr):
         if addr == MIP:
-            return MEI_BIT if self.irq_pending[0] else 0
+            return MEI_BIT if self.irq_pending else 0
         return self.csr[addr]
 
     def _csr_write(self, addr, value):
         if addr == MIP:
             # writing MEIP acknowledges (or software-asserts) the line
             if value & MEI_BIT:
-                if not self.irq_pending[0]:
-                    self.irq_pending[0] = True
-                    self.irq_assert_cycle[0] = self.cycle
+                self.raise_interrupt()
             else:
-                self.irq_pending[0] = False
+                self.irq_pending = False
             return
         self.csr[addr] = value & _CSR_MASKS[addr]
 
     # -- interrupt line ----------------------------------------------------
 
     def raise_interrupt(self, line=0, at_cycle=None):
-        """Assert an interrupt line; the first assertion's cycle wins."""
-        if not 0 <= line < self.num_irq_lines:
+        """Assert the external line; the first assertion's cycle wins."""
+        if line != 0:
             raise SimError(f"interrupt line {line} not configured")
-        if not self.irq_pending[line]:
-            self.irq_pending[line] = True
-            self.irq_assert_cycle[line] = \
-                self.cycle if at_cycle is None else at_cycle
+        if not self.irq_pending:
+            self.irq_pending = True
+            self.irq_assert_cycle = self.cycle if at_cycle is None else at_cycle
 
     def interrupt_ready(self):
-        return (self.irq_pending[0]
+        return (self.irq_pending
                 and self.csr[MSTATUS] & MSTATUS_MIE
                 and self.csr[MIE] & MEI_BIT)
 

@@ -36,11 +36,14 @@ class RunStats:
     """Counters populated by one simulator run; immutable by convention
     after the run completes."""
 
-    __slots__ = (
-        "config", "total_cycles", "retired", "mem_reads", "mem_writes",
-        "fetch_cycles", "decode_cycles", "alu_cycles", "regfile_cycles",
-        "mmul_cycles", "interrupt_latencies", "mmul_invocations",
-        "mmul_engine_cycles", "stop_reason", "exit_code", "trap_cause",
+    COUNTERS = (
+        "total_cycles", "retired", "mem_reads", "mem_writes", "fetch_cycles",
+        "decode_cycles", "alu_cycles", "regfile_cycles", "mmul_cycles",
+        "mmul_invocations",
+    )
+    __slots__ = COUNTERS + (
+        "config", "interrupt_latencies", "stop_reason", "exit_code",
+        "trap_cause",
     )
 
     def __init__(self, config="BA"):
@@ -56,19 +59,12 @@ class RunStats:
         self.mmul_cycles = 0
         self.interrupt_latencies = []  # list of (assert_cycle, service_cycle)
         self.mmul_invocations = 0
-        self.mmul_engine_cycles = 0
         self.stop_reason = None  # halt | budget | sentinel | trap
         self.exit_code = 0
         self.trap_cause = None
 
     def module_active_cycles(self):
-        return {
-            "fetch": self.fetch_cycles,
-            "decode": self.decode_cycles,
-            "alu": self.alu_cycles,
-            "regfile": self.regfile_cycles,
-            "mmul": self.mmul_cycles,
-        }
+        return {m: getattr(self, m + "_cycles") for m in MODULES}
 
     def to_dict(self):
         return {
@@ -79,15 +75,23 @@ class RunStats:
             "mem_writes": self.mem_writes,
             "module_active_cycles": self.module_active_cycles(),
             "interrupt_latencies": [list(p) for p in self.interrupt_latencies],
+            "mmul_invocations": self.mmul_invocations,
+            "stop_reason": self.stop_reason,
+            "exit_code": self.exit_code,
+            "trap_cause": self.trap_cause,
         }
 
-
-def record_activity(stats, module, cycles):
-    """Monotone increment of one module's active-cycle counter."""
-    if module not in MODULES:
-        raise ValueError(f"unknown module {module!r}")
-    setattr(stats, module + "_cycles", getattr(stats, module + "_cycles") + cycles)
-    return stats
+    def merge(self, other):
+        """Adds another run's counters and latencies into this one; a run
+        that did not halt with exit code 0 sets the stop fields."""
+        for name in self.COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.interrupt_latencies.extend(other.interrupt_latencies)
+        if (other.stop_reason, other.exit_code) != ("halt", 0):
+            self.stop_reason = other.stop_reason
+            self.exit_code = other.exit_code
+            self.trap_cause = other.trap_cause
+        return self
 
 
 def _unattributed(config):
@@ -105,10 +109,6 @@ class PowerModel:
         default_factory=lambda: {m: dict(MODULE_POWER[m]) for m in MODULES})
     unattributed_watts: dict = field(
         default_factory=lambda: {c: _unattributed(c) for c in CONFIGS})
-
-    def table_total(self, config):
-        """Measured (static, dynamic, total) averages for a configuration."""
-        return TOTAL_POWER[config]
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ def run_guest(guest, config=None, irq=(), budget=None, **machine_kwargs):
     machine = make_machine(**machine_kwargs)
     guest.load(machine)
     cpu = Cpu(machine)
-    stats = cpu.run(budget=budget or guest.budget_hint, irq_schedule=irq,
-                    config=config or guest.config)
+    stats = cpu.run(budget=guest.budget_hint if budget is None else budget,
+                    irq_schedule=irq, config=config or guest.config)
     return machine, stats
 
 

@@ -6,7 +6,9 @@ from mmulrv.cli import (EXIT_BUDGET, EXIT_ERROR, EXIT_OK, EXIT_TRAP, main)
 
 RUN_KEYS = {"config", "total_cycles", "retired", "mem_reads", "mem_writes",
             "module_active_cycles", "interrupt_latencies",
-            "avg_power_watts", "normalized_energy"}
+            "avg_power_watts", "normalized_energy", "mmul_invocations",
+            "stop_reason", "exit_code", "trap_cause"}
+SMALL_FIELD = ["--set", "modulus=239", "--set", "words=1"]
 
 
 def _run_json(capsys, argv):
@@ -54,6 +56,41 @@ def test_run_budget_exit_code(capsys):
     assert code == EXIT_BUDGET
 
 
+def test_run_budget_zero_is_honoured(capsys):
+    code, doc = _run_json(capsys, [
+        "run", "--guest", "montmul_once", "--config", "CI-AE", *SMALL_FIELD,
+        "--budget", "0"])
+    assert code == EXIT_BUDGET
+    assert (doc["total_cycles"], doc["stop_reason"]) == (0, "budget")
+
+
+def test_run_report_fields(capsys):
+    code, doc = _run_json(capsys, [
+        "run", "--guest", "montmul_once", "--config", "CI-AE", *SMALL_FIELD])
+    assert code == EXIT_OK
+    assert (doc["stop_reason"], doc["exit_code"], doc["trap_cause"],
+            doc["mmul_invocations"]) == ("halt", 0, None, 1)
+
+
+def test_truncated_run_reports_no_energy(capsys):
+    code, doc = _run_json(capsys, [
+        "run", "--guest", "modexp128", "--config", "CI-PE", "--budget", "500"])
+    assert code == EXIT_BUDGET
+    assert doc["stop_reason"] == "budget"
+    assert doc["normalized_energy"] is None
+    assert doc["avg_power_watts"] is None
+
+
+def test_truncated_reference_reports_no_energy(capsys):
+    # CI-AE halts within 8000 cycles, its BA reference does not
+    code, doc = _run_json(capsys, [
+        "run", "--guest", "modexp128", "--config", "CI-AE",
+        "--budget", "8000"])
+    assert code == EXIT_OK
+    assert doc["avg_power_watts"] > 0
+    assert doc["normalized_energy"] is None
+
+
 def test_run_writes_output_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["run", "--guest", "montmul_once", "--config", "CI-AE",
@@ -86,10 +123,32 @@ def test_run_sweep_aggregates(capsys):
         assert serviced - asserted <= max(3 * 8 + 2, 8 + 3) + 4
 
 
+def test_run_sweep_sums_counters(capsys):
+    argv = ["run", "--guest", "irq_sweep_partial", "--config", "CI-PE"]
+    _, agg = _run_json(capsys, argv + ["--sweep", "100:160:20"])
+    points = [_run_json(capsys, argv + ["--irq", str(at)])[1]
+              for at in (100, 120, 140)]
+    for key in ("total_cycles", "retired", "mem_reads", "mem_writes",
+                "mmul_invocations"):
+        assert agg[key] == sum(p[key] for p in points), key
+    assert agg["module_active_cycles"] == {
+        mod: sum(p["module_active_cycles"][mod] for p in points)
+        for mod in agg["module_active_cycles"]}
+    assert agg["interrupt_latencies"] == \
+        [lat for p in points for lat in p["interrupt_latencies"]]
+
+
 def test_bad_set_syntax(capsys):
     code = main(["run", "--guest", "montmul_once", "--set", "oops"])
     assert code == EXIT_ERROR
     assert "error" in capsys.readouterr().err
+
+
+def test_empty_sweep_rejected(capsys):
+    code = main(["run", "--guest", "irq_sweep_partial", "--config", "CI-PE",
+                 "--sweep", "100:100:1"])
+    assert code == EXIT_ERROR
+    assert "bad sweep spec" in capsys.readouterr().err
 
 
 def test_compare_table(capsys):
@@ -115,6 +174,19 @@ def test_compare_subset(capsys):
     assert [r["config"] for r in doc["rows"]] == ["CI-AE", "CI-PE"]
     # no BA run: nothing to normalize against
     assert all(r["normalized_energy"] is None for r in doc["rows"])
+
+
+def test_compare_truncated_rows(capsys):
+    code = main(["compare", "--guest", "modexp128", "--budget", "2000"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == EXIT_BUDGET
+    for row in doc["rows"]:
+        assert row["speedup"] is None
+        assert row["normalized_energy"] is None
+    code = main(["compare", "--guest", "modexp128", "--budget", "2000",
+                 "--format", "table"])
+    assert code == EXIT_BUDGET
+    assert "BA" in capsys.readouterr().out
 
 
 def test_selftest_passes(capsys):

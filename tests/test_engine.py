@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 from conftest import make_machine, mont_oracle, operand_block, read_value
 from mmulrv.engine import (MmulOperands, address_generate, r2mm_reference)
 from mmulrv.errors import (EvenModulus, LengthExceedsHardwareMax,
-                           MisalignedAccess, OperandTooLarge)
+                           MisalignedAccess, OperandTooLarge, SequenceBroken,
+                           UnmappedAddress)
+from mmulrv.machine import MMUL_STATUS
 
 
 class TestReference:
@@ -119,6 +123,19 @@ class TestAtomic:
         with pytest.raises(MisalignedAccess):
             m.engine.execute_atomic(m, ops)
 
+    @pytest.mark.parametrize("field", ["addr_a", "addr_p"])
+    def test_fault_leaves_engine_idle(self, field):
+        # a 4-word operand at 0x1FFF8 runs off the top of memory
+        m = make_machine()
+        aa, ab, an, ap = operand_block(m, 7, 9, 0xFFFFFFFB, 4)
+        ops = MmulOperands(aa, ab, an, ap, 4)
+        with pytest.raises(UnmappedAddress):
+            m.engine.execute_atomic(m, replace(ops, **{field: 0x1FFF8}))
+        assert not m.engine.busy
+        assert m.csr_access(MMUL_STATUS, "read") == 0
+        m.engine.execute_atomic(m, ops)
+        assert read_value(m, ap, 4) == mont_oracle(7, 9, 0xFFFFFFFB, 128)
+
     def test_memory_op_counters(self):
         m = make_machine()
         _atomic(m, 3, 5, 0xFFFFFFFB, 1)
@@ -196,6 +213,27 @@ class TestPartial:
         for _ in range(31):
             m.engine.execute_partial_call(m, ops)
         assert m.csr_access(MMUL_STATUS, "read") == 0
+
+    def test_faulting_first_call_latches_nothing(self):
+        m = make_machine()
+        aa, ab, an, ap = operand_block(m, 7, 9, 0xFFFFFFFB, 4)
+        with pytest.raises(UnmappedAddress):
+            m.engine.execute_partial_call(
+                m, MmulOperands(0x1FFF8, ab, an, ap, 4))
+        assert not m.engine.busy
+        ops = MmulOperands(aa, ab, an, ap, 4)
+        assert m.engine.execute_partial_call(m, ops).call_kind == "first"
+
+    def test_atomic_issue_mid_sequence_refused(self):
+        m = make_machine()
+        aa, ab, an, ap = operand_block(m, 7, 9, 0xFFFFFFFB, 1)
+        ops = MmulOperands(aa, ab, an, ap, 1)
+        m.engine.execute_partial_call(m, ops)
+        with pytest.raises(SequenceBroken):
+            m.engine.execute_atomic(m, ops)
+        for _ in range(31):
+            m.engine.execute_partial_call(m, ops)
+        assert read_value(m, ap, 1) == mont_oracle(7, 9, 0xFFFFFFFB, 32)
 
     def test_middle_calls_ignore_operands(self, rng):
         # calls 2..n carry garbage addresses; the latched operation wins

@@ -316,4 +316,4 @@ def test_masked_interrupt_is_held_pending():
     stats = cpu.run(budget=10_000, irq_schedule=[10])
     assert stats.stop_reason == "halt"
     assert stats.interrupt_latencies == []
-    assert m.irq_pending[0]
+    assert m.irq_pending

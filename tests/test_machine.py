@@ -91,13 +91,13 @@ class TestCsr:
 class TestInterruptLine:
     def test_assert_visible(self, machine):
         machine.raise_interrupt(0, at_cycle=1000)
-        assert machine.irq_pending[0]
+        assert machine.irq_pending
         assert machine.csr_access(MIP, "read") == 1 << 11
 
     def test_first_assert_wins(self, machine):
         machine.raise_interrupt(0, at_cycle=1000)
         machine.raise_interrupt(0, at_cycle=2000)
-        assert machine.irq_assert_cycle[0] == 1000
+        assert machine.irq_assert_cycle == 1000
 
     def test_unconfigured_line(self, machine):
         with pytest.raises(SimError):
@@ -106,7 +106,7 @@ class TestInterruptLine:
     def test_ack_via_mip_clear(self, machine):
         machine.raise_interrupt(0)
         machine.csr_access(MIP, "clear", 1 << 11)
-        assert not machine.irq_pending[0]
+        assert not machine.irq_pending
 
     def test_not_ready_without_enables(self, machine):
         machine.raise_interrupt(0)
