@@ -29,18 +29,29 @@ def _machine(args):
     return Machine(memory=mem, max_words=args.words)
 
 
+def _int(text, option):
+    """An integer option value, hex or decimal."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise SimError(f"{option} expects an integer, got {text!r}") from None
+
+
 def _parse_params(pairs):
     params = {}
     for item in pairs or ():
         key, _, value = item.partition("=")
         if not _:
             raise SimError(f"--set expects name=value, got {item!r}")
-        params[key] = int(value, 0)
+        params[key] = _int(value, f"--set {key}")
     return params
 
 
 def _parse_sweep(spec):
-    start, end, step = (int(x, 0) for x in spec.split(":"))
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise SimError(f"bad sweep spec {spec!r}")
+    start, end, step = (_int(x, "--sweep") for x in parts)
     if step <= 0 or end <= start:
         raise SimError(f"bad sweep spec {spec!r}")
     return range(start, end, step)
@@ -64,25 +75,38 @@ def _run_one(args, config, irq_cycles=()):
     return _execute(guest, args, config, irq_cycles=irq_cycles)
 
 
+def _unclean(stats):
+    """Why a run did not halt cleanly, or None when it did."""
+    if stats.stop_reason != "halt":
+        return f"stopped by {stats.stop_reason}"
+    if stats.exit_code != 0:
+        return f"exited with code {stats.exit_code}"
+    return None
+
+
 def _exit_code(stats):
-    if stats.stop_reason == "halt" and stats.exit_code == 0:
+    if _unclean(stats) is None:
         return EXIT_OK
     if stats.stop_reason == "budget":
         return EXIT_BUDGET
     return EXIT_TRAP
 
 
-def _report(stats, reference_energy=None):
+def _report(stats, reference_energy=None, no_reference=None):
     """The run's report doc and its energy.
 
     Energy figures stay null unless the run halted cleanly.
     normalized_energy divides by `reference_energy`, the energy of a clean
     BA run of the same guest (a BA run is its own reference), and stays
-    null without one.
+    null without one; normalized_energy_reason then says why, taking
+    `no_reference` as the reason a reference is missing.
     """
     doc = stats.to_dict()
     doc["avg_power_watts"] = doc["normalized_energy"] = None
-    if _exit_code(stats) != EXIT_OK:
+    doc["normalized_energy_reason"] = None
+    unclean = _unclean(stats)
+    if unclean:
+        doc["normalized_energy_reason"] = f"the run {unclean}"
         return doc, None
     # normalized here rather than in estimate_energy, which refuses a
     # non-BA run without a reference
@@ -91,9 +115,27 @@ def _report(stats, reference_energy=None):
     if stats.config == "BA":
         reference_energy = est.energy
     doc["avg_power_watts"] = est.avg_power_watts
-    if reference_energy is not None:
+    if reference_energy is None:
+        doc["normalized_energy_reason"] = no_reference
+    else:
         doc["normalized_energy"] = est.energy / reference_energy
     return doc, est.energy
+
+
+def _reference(args, config):
+    """(energy of a clean BA run of the guest, None), or (None, why not)."""
+    if config == "BA":
+        return None, None  # a BA run is its own reference
+    if args.sweep:
+        return None, "a --sweep report has no BA reference"
+    try:
+        stats = _run_one(args, "BA")
+    except InvalidConfig:
+        return None, f"{args.guest} pins its configuration: no BA reference"
+    unclean = _unclean(stats)
+    if unclean:
+        return None, f"the BA reference {unclean}"
+    return _report(stats)[1], None
 
 
 def _write(args, doc, table):
@@ -136,15 +178,9 @@ def _compare_table(doc):
 
 def cmd_run(args):
     config = args.config
-    irq = [int(x, 0) for x in args.irq or ()]
+    irq = [_int(x, "--irq") for x in args.irq or ()]
     stats = _run_one(args, config, irq_cycles=irq)
-    reference_energy = None
-    if config != "BA" and not args.sweep:
-        try:
-            _, reference_energy = _report(_run_one(args, "BA"))
-        except InvalidConfig:  # the guest pins a non-BA configuration
-            pass
-    doc, _ = _report(stats, reference_energy)
+    doc, _ = _report(stats, *_reference(args, config))
     if stats.interrupt_latencies:
         doc["interrupt_latency_report"] = interrupt_latency_report(stats)
     _write(args, doc, _run_table)

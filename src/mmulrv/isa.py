@@ -3,12 +3,14 @@
 Timing: 1 cycle per retired instruction (covers a single-cycle fetch),
 +1 cycle per taken control transfer, plus memory wait-states beyond the
 first cycle for fetch and data accesses.  MMUL engine occupancy is added
-on top and never double-counted.  Interrupt entry costs a fixed (default 3)
-cycles.  The model is configurable and held fixed across BA/CI-AE/CI-PE.
+on top and never double-counted.  Interrupt entry costs 3 cycles.  The
+model is fixed and the same for BA/CI-AE/CI-PE.
 """
 
-from dataclasses import dataclass
+import operator
+from contextlib import suppress
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import encoding
 from .engine import MmulOperands
@@ -22,7 +24,7 @@ class DecodedInstruction:
                  "csr", "compressed", "length")
 
     def __init__(self, kind, rd=0, rs1=0, rs2=0, rs3=0, imm=0, words=0,
-                 csr=0, compressed=False):
+                 csr=0):
         self.kind = kind
         self.rd = rd
         self.rs1 = rs1
@@ -31,8 +33,8 @@ class DecodedInstruction:
         self.imm = imm
         self.words = words
         self.csr = csr
-        self.compressed = compressed
-        self.length = 2 if compressed else 4
+        self.compressed = False
+        self.length = 4
 
     def __repr__(self):
         return (f"DecodedInstruction({self.kind}, rd={self.rd}, "
@@ -48,18 +50,42 @@ def _chk_reg(*regs):
     for r in regs:
         if r > 15:
             raise IllegalInstruction(f"x{r} not valid under RV32E")
-    return regs
 
 
-_BRANCHES = {0: "beq", 1: "bne", 4: "blt", 5: "bge", 6: "bltu", 7: "bgeu"}
-_LOADS = {0: "lb", 1: "lh", 2: "lw", 4: "lbu", 5: "lhu"}
-_STORES = {0: "sb", 1: "sh", 2: "sw"}
-_OPIMM = {0: "addi", 2: "slti", 3: "sltiu", 4: "xori", 6: "ori", 7: "andi"}
-_OPS = {(0, 0): "add", (0, 0x20): "sub", (1, 0): "sll", (2, 0): "slt",
-        (3, 0): "sltu", (4, 0): "xor", (5, 0): "srl", (5, 0x20): "sra",
-        (6, 0): "or", (7, 0): "and"}
-_CSROPS = {1: "csrrw", 2: "csrrs", 3: "csrrc",
-           5: "csrrwi", 6: "csrrsi", 7: "csrrci"}
+def _lookup(table, key, message):
+    if key not in table:
+        raise IllegalInstruction(message)
+    return table[key]
+
+
+def _lt(a, b):
+    return _sext(a, 32) < _sext(b, 32)
+
+
+# One row per instruction: its encoding, kind and executor operand.  An
+# immediate ALU form applies its register form's operation to d.imm & M32.
+_ALU = {  # (funct3, funct7) -> (register form, immediate form, operation)
+    (0, 0): ("add", "addi", operator.add),
+    (0, 0x20): ("sub", None, operator.sub),
+    (1, 0): ("sll", "slli", lambda a, b: a << (b & 31)),
+    (2, 0): ("slt", "slti", lambda a, b: int(_lt(a, b))),
+    (3, 0): ("sltu", "sltiu", lambda a, b: int(a < b)),
+    (4, 0): ("xor", "xori", operator.xor),
+    (5, 0): ("srl", "srli", lambda a, b: a >> (b & 31)),
+    (5, 0x20): ("sra", "srai", lambda a, b: _sext(a, 32) >> (b & 31)),
+    (6, 0): ("or", "ori", operator.or_),
+    (7, 0): ("and", "andi", operator.and_),
+}
+_BRANCH = {0: ("beq", operator.eq), 1: ("bne", operator.ne), 4: ("blt", _lt),
+           5: ("bge", lambda a, b: not _lt(a, b)), 6: ("bltu", operator.lt),
+           7: ("bgeu", operator.ge)}  # funct3 -> (kind, taken(rs1, rs2))
+_LOAD = {0: ("lb", (1, True)), 1: ("lh", (2, True)), 2: ("lw", (4, False)),
+         4: ("lbu", (1, False)), 5: ("lhu", (2, False))}  # (bytes, signed)
+_STORE = {0: ("sb", 1), 1: ("sh", 2), 2: ("sw", 4)}  # funct3 -> (kind, bytes)
+_CSR = {1: ("csrrw", ("write", False)), 2: ("csrrs", ("set", False)),
+        3: ("csrrc", ("clear", False)), 5: ("csrrwi", ("write", True)),
+        6: ("csrrsi", ("set", True)), 7: ("csrrci", ("clear", True))}
+_SYSTEM = {0x00000073: "ecall", 0x00100073: "ebreak", 0x30200073: "mret"}
 
 
 def decode32(w):
@@ -71,12 +97,10 @@ def decode32(w):
     rs2 = (w >> 20) & 0x1F
     f7 = (w >> 25) & 0x7F
 
-    if op == 0x37:  # lui
+    if op == 0x37 or op == 0x17:
         _chk_reg(rd)
-        return DecodedInstruction("lui", rd=rd, imm=_sext(w & 0xFFFFF000, 32))
-    if op == 0x17:  # auipc
-        _chk_reg(rd)
-        return DecodedInstruction("auipc", rd=rd, imm=_sext(w & 0xFFFFF000, 32))
+        return DecodedInstruction("lui" if op == 0x37 else "auipc", rd=rd,
+                                  imm=_sext(w & 0xFFFFF000, 32))
     if op == 0x6F:  # jal
         _chk_reg(rd)
         imm = (((w >> 31) & 1) << 20) | (((w >> 21) & 0x3FF) << 1) \
@@ -87,60 +111,37 @@ def decode32(w):
         return DecodedInstruction("jalr", rd=rd, rs1=rs1,
                                   imm=_sext(w >> 20, 12))
     if op == 0x63:
-        kind = _BRANCHES.get(f3)
-        if kind is None:
-            raise IllegalInstruction(f"branch funct3={f3}")
+        kind = _lookup(_BRANCH, f3, f"branch funct3={f3}")[0]
         _chk_reg(rs1, rs2)
         imm = (((w >> 31) & 1) << 12) | (((w >> 25) & 0x3F) << 5) \
             | (((w >> 8) & 0xF) << 1) | (((w >> 7) & 1) << 11)
         return DecodedInstruction(kind, rs1=rs1, rs2=rs2, imm=_sext(imm, 13))
     if op == 0x03:
-        kind = _LOADS.get(f3)
-        if kind is None:
-            raise IllegalInstruction(f"load funct3={f3}")
+        kind = _lookup(_LOAD, f3, f"load funct3={f3}")[0]
         _chk_reg(rd, rs1)
         return DecodedInstruction(kind, rd=rd, rs1=rs1, imm=_sext(w >> 20, 12))
     if op == 0x23:
-        kind = _STORES.get(f3)
-        if kind is None:
-            raise IllegalInstruction(f"store funct3={f3}")
+        kind = _lookup(_STORE, f3, f"store funct3={f3}")[0]
         _chk_reg(rs1, rs2)
         imm = ((w >> 25) << 5) | rd
         return DecodedInstruction(kind, rs1=rs1, rs2=rs2, imm=_sext(imm, 12))
     if op == 0x13:
         _chk_reg(rd, rs1)
-        if f3 == 1:
-            if f7 != 0:
-                raise IllegalInstruction("slli funct7")
-            return DecodedInstruction("slli", rd=rd, rs1=rs1, imm=rs2)
-        if f3 == 5:
-            if f7 == 0:
-                return DecodedInstruction("srli", rd=rd, rs1=rs1, imm=rs2)
-            if f7 == 0x20:
-                return DecodedInstruction("srai", rd=rd, rs1=rs1, imm=rs2)
-            raise IllegalInstruction("shift funct7")
-        return DecodedInstruction(_OPIMM[f3], rd=rd, rs1=rs1,
-                                  imm=_sext(w >> 20, 12))
+        shift = f3 == 1 or f3 == 5  # funct7 selects the shift, rs2 its amount
+        kind = _lookup(_ALU, (f3, f7 if shift else 0), "shift funct7")[1]
+        return DecodedInstruction(kind, rd=rd, rs1=rs1,
+                                  imm=rs2 if shift else _sext(w >> 20, 12))
     if op == 0x33:
-        kind = _OPS.get((f3, f7))
-        if kind is None:
-            raise IllegalInstruction(f"op funct3={f3} funct7={f7:#x}")
+        kind = _lookup(_ALU, (f3, f7), f"op funct3={f3} funct7={f7:#x}")[0]
         _chk_reg(rd, rs1, rs2)
         return DecodedInstruction(kind, rd=rd, rs1=rs1, rs2=rs2)
     if op == 0x0F:  # fence / fence.i: no-op in this model
         return DecodedInstruction("fence")
     if op == 0x73:
         if f3 == 0:
-            if w == 0x00000073:
-                return DecodedInstruction("ecall")
-            if w == 0x00100073:
-                return DecodedInstruction("ebreak")
-            if w == 0x30200073:
-                return DecodedInstruction("mret")
-            raise IllegalInstruction(f"system 0x{w:08x}")
-        kind = _CSROPS.get(f3)
-        if kind is None:
-            raise IllegalInstruction(f"system funct3={f3}")
+            kind = _lookup(_SYSTEM, w, f"system 0x{w:08x}")
+            return DecodedInstruction(kind)
+        kind = _lookup(_CSR, f3, f"system funct3={f3}")[0]
         _chk_reg(rd)
         if f3 < 4:
             _chk_reg(rs1)
@@ -183,17 +184,15 @@ def _expand(q, f3, h):
             if imm == 0:
                 raise IllegalInstruction("c.addi4spn with zero immediate")
             return DecodedInstruction("addi", rd=_creg(h >> 2), rs1=2, imm=imm)
+        if f3 != 2 and f3 != 6:
+            raise IllegalInstruction(f"compressed q0 funct3={f3}")
+        imm = (((h >> 10) & 7) << 3) | (((h >> 6) & 1) << 2) \
+            | (((h >> 5) & 1) << 6)
         if f3 == 2:  # c.lw
-            imm = (((h >> 10) & 7) << 3) | (((h >> 6) & 1) << 2) \
-                | (((h >> 5) & 1) << 6)
             return DecodedInstruction("lw", rd=_creg(h >> 2),
                                       rs1=_creg(h >> 7), imm=imm)
-        if f3 == 6:  # c.sw
-            imm = (((h >> 10) & 7) << 3) | (((h >> 6) & 1) << 2) \
-                | (((h >> 5) & 1) << 6)
-            return DecodedInstruction("sw", rs1=_creg(h >> 7),
-                                      rs2=_creg(h >> 2), imm=imm)
-        raise IllegalInstruction(f"compressed q0 funct3={f3}")
+        return DecodedInstruction("sw", rs1=_creg(h >> 7),  # c.sw
+                                  rs2=_creg(h >> 2), imm=imm)
     if q == 1:
         imm6 = _sext((((h >> 12) & 1) << 5) | ((h >> 2) & 0x1F), 6)
         rd = (h >> 7) & 0x1F
@@ -296,36 +295,142 @@ def decode(fetch_unit):
     return decode32(fetch_unit)
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     retired: str  # instruction kind, or "irq" for an interrupt entry
     cycles: int
-    trap: int = None
 
 
-class CycleBudgetExhausted(SimError):
-    pass
+BASE_CPI = 1              # cycles per retired instruction, fetch included
+TAKEN_BRANCH_PENALTY = 1  # extra cycles of a taken control transfer
+TRAP_ENTRY_CYCLES = 3     # cycles of an interrupt entry
 
 
-_ALU_KINDS = frozenset([
-    "lui", "auipc", "jal", "jalr", "beq", "bne", "blt", "bge", "bltu",
-    "bgeu", "lb", "lh", "lw", "lbu", "lhu", "sb", "sh", "sw", "addi",
-    "slti", "sltiu", "xori", "ori", "andi", "slli", "srli", "srai", "add",
-    "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or", "and",
-])
+# An executor gets (machine, decoded, its pc, its table value), sets m.pc
+# only to transfer control, and returns its cycles beyond BASE_CPI + wait.
+
+def _alu(m, d, pc, fn):
+    x = m.regs.x
+    m.regs.write(d.rd, fn(x[d.rs1], x[d.rs2]))
+    return 0
+
+
+def _alu_imm(m, d, pc, fn):
+    m.regs.write(d.rd, fn(m.regs.x[d.rs1], d.imm & M32))
+    return 0
+
+
+def _branch(m, d, pc, taken):
+    x = m.regs.x
+    if taken(x[d.rs1], x[d.rs2]):
+        m.pc = (pc + d.imm) & M32
+        return TAKEN_BRANCH_PENALTY
+    return 0
+
+
+def _load(m, d, pc, spec):
+    nbytes, signed = spec
+    addr = (m.regs.x[d.rs1] + d.imm) & M32
+    if nbytes == 4:
+        val, lat = m.load_word(addr)
+    else:
+        val, lat = m.load_scalar(addr, nbytes)
+        if signed:
+            val = _sext(val, 8 * nbytes)
+    m.regs.write(d.rd, val)
+    return lat - 1
+
+
+def _store(m, d, pc, nbytes):
+    x = m.regs.x
+    addr = (x[d.rs1] + d.imm) & M32
+    if nbytes == 4:
+        return m.store_word(addr, x[d.rs2]) - 1
+    return m.store_scalar(addr, nbytes, x[d.rs2]) - 1
+
+
+def _csr(m, d, pc, spec):
+    op, imm_form = spec
+    if op != "write" and not d.rs1:
+        op = "read"  # set/clear with x0 or a zero immediate writes nothing
+    src = d.rs1 if imm_form else m.regs.x[d.rs1]
+    m.regs.write(d.rd, m.csr_access(d.csr, op, src))
+    return 0
+
+
+def _upper(m, d, pc, pc_relative):  # lui, auipc
+    m.regs.write(d.rd, (pc if pc_relative else 0) + d.imm)
+    return 0
+
+
+def _jump(m, d, pc, indirect):  # jal, jalr
+    base = m.regs.x[d.rs1] if indirect else pc
+    m.regs.write(d.rd, pc + d.length)
+    m.pc = (base + d.imm) & ~1 & M32
+    return TAKEN_BRANCH_PENALTY
+
+
+def _mret(m, d, pc, _):
+    status = m.csr[MSTATUS]
+    mie = MSTATUS_MIE if status & MSTATUS_MPIE else 0
+    m.csr[MSTATUS] = (status & ~MSTATUS_MIE) | mie | MSTATUS_MPIE
+    m.pc = m.csr[MEPC]
+    m.in_handler = False
+    return TAKEN_BRANCH_PENALTY
+
+
+def _ecall(m, d, pc, _):
+    # halt convention: a0 carries the exit code
+    m.halted = True
+    m.exit_code = m.regs.x[10]
+    return 0
+
+
+def _ebreak(m, d, pc, _):
+    raise IllegalInstruction("ebreak (no debugger attached)")
+
+
+def _fence(m, d, pc, _):  # a no-op in this model
+    return 0
+
+
+def _mmul(m, d, pc, _):
+    regs = m.regs.x
+    ops = MmulOperands(addr_a=regs[d.rs1], addr_b=regs[d.rs2],
+                       addr_n=regs[d.rs3], addr_p=regs[d.rd],
+                       words=d.words)
+    in_sequence = m.engine.busy
+    if in_sequence and m.in_handler:
+        raise SequenceBroken("MMUL issued from a trap handler mid-sequence")
+    if in_sequence or m.csr[MMUL_MODE] & 1:
+        res = m.engine.execute_partial_call(m, ops)
+    else:
+        res = m.engine.execute_atomic(m, ops)
+    m.stats.mmul_invocations += not in_sequence
+    m.stats.mmul_cycles += res.cycles
+    return res.cycles
+
+
+# kind -> (executor, its table value, counts an ALU cycle)
+_EXECUTE = {
+    "lui": (_upper, False, True), "auipc": (_upper, True, True),
+    "jal": (_jump, False, True), "jalr": (_jump, True, True),
+    "mret": (_mret, None, False), "ecall": (_ecall, None, False),
+    "ebreak": (_ebreak, None, False), "fence": (_fence, None, False),
+    "mmul": (_mmul, None, False),
+    **{reg: (_alu, fn, True) for reg, _, fn in _ALU.values()},
+    **{imm: (_alu_imm, fn, True) for _, imm, fn in _ALU.values() if imm},
+    **{kind: (_branch, taken, True) for kind, taken in _BRANCH.values()},
+    **{kind: (_load, spec, True) for kind, spec in _LOAD.values()},
+    **{kind: (_store, nbytes, True) for kind, nbytes in _STORE.values()},
+    **{kind: (_csr, spec, False) for kind, spec in _CSR.values()},
+}
 
 
 class Cpu:
     """Fetch/decode/execute loop over one Machine."""
 
-    def __init__(self, machine, base_cpi=1, taken_branch_penalty=1,
-                 trap_entry_cycles=3):
+    def __init__(self, machine):
         self.m = machine
-        self.base_cpi = base_cpi
-        self.taken_branch_penalty = taken_branch_penalty
-        self.trap_entry_cycles = trap_entry_cycles
-
-    # -- trap / interrupt entry -------------------------------------------
 
     def _enter_interrupt(self):
         m = self.m
@@ -336,185 +441,37 @@ class Cpu:
         m.csr[MSTATUS] = (status & ~(MSTATUS_MIE | MSTATUS_MPIE)) | mpie
         m.pc = m.csr[MTVEC]
         m.in_handler = True
-        m.cycle += self.trap_entry_cycles
+        m.cycle += TRAP_ENTRY_CYCLES
         m.stats.interrupt_latencies.append((m.irq_assert_cycle, m.cycle))
-        return StepReport("irq", self.trap_entry_cycles, CAUSE_MEXT_IRQ)
-
-    # -- one instruction ---------------------------------------------------
+        return StepReport("irq", TRAP_ENTRY_CYCLES)
 
     def step(self):
-        """Retire one instruction (or take a pending enabled interrupt)."""
+        """Retire one instruction (or take a pending enabled interrupt).
+        A fault leaves m.pc at the faulting instruction."""
         m = self.m
         if m.interrupt_ready():
             return self._enter_interrupt()
-        raw = m.mem.fetch_unit(m.pc)
-        d = decode(raw)
-        stats = m.stats
+        pc = m.pc
+        d = decode(m.mem.fetch_unit(pc))
+        execute, value, uses_alu = _EXECUTE[d.kind]
+        m.pc = (pc + d.length) & M32  # a control transfer overwrites it
+        try:
+            extra = execute(m, d, pc, value)
+        except SimError:
+            m.pc = pc
+            raise
         fetch_wait = m.mem.read_latency - 1
-        cycles = self.base_cpi + fetch_wait
-        cycles += self._execute(m, d)
+        cycles = BASE_CPI + fetch_wait + extra
         m.cycle += cycles
+        stats = m.stats
         stats.retired += 1
         stats.fetch_cycles += 1 + fetch_wait
         stats.decode_cycles += 1
         stats.regfile_cycles += 1
-        if d.kind in _ALU_KINDS:
-            stats.alu_cycles += 1
+        stats.alu_cycles += uses_alu
         return StepReport(d.kind, cycles)
 
-    def _execute(self, m, d):
-        kind = d.kind
-        regs = m.regs.x
-        pc = m.pc
-        extra = 0
-        if kind == "addi":
-            m.regs.write(d.rd, regs[d.rs1] + d.imm)
-        elif kind == "add":
-            m.regs.write(d.rd, regs[d.rs1] + regs[d.rs2])
-        elif kind == "lw":
-            val, lat = m.load_word((regs[d.rs1] + d.imm) & M32)
-            m.regs.write(d.rd, val)
-            extra = lat - 1
-        elif kind == "sw":
-            extra = m.store_word((regs[d.rs1] + d.imm) & M32,
-                                 regs[d.rs2]) - 1
-        elif kind in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
-            a, b = regs[d.rs1], regs[d.rs2]
-            if kind in ("blt", "bge"):
-                a, b = _sext(a, 32), _sext(b, 32)
-            taken = {"beq": a == b, "bne": a != b, "blt": a < b,
-                     "bge": a >= b, "bltu": a < b, "bgeu": a >= b}[kind]
-            if taken:
-                m.pc = (pc + d.imm) & M32
-                return self.taken_branch_penalty
-        elif kind == "jal":
-            m.regs.write(d.rd, pc + d.length)
-            m.pc = (pc + d.imm) & M32
-            return self.taken_branch_penalty
-        elif kind == "jalr":
-            target = (regs[d.rs1] + d.imm) & ~1 & M32
-            m.regs.write(d.rd, pc + d.length)
-            m.pc = target
-            return self.taken_branch_penalty
-        elif kind == "lui":
-            m.regs.write(d.rd, d.imm)
-        elif kind == "auipc":
-            m.regs.write(d.rd, pc + d.imm)
-        elif kind in ("slti", "sltiu", "xori", "ori", "andi", "slli",
-                      "srli", "srai"):
-            a = regs[d.rs1]
-            if kind == "slti":
-                r = 1 if _sext(a, 32) < d.imm else 0
-            elif kind == "sltiu":
-                r = 1 if a < (d.imm & M32) else 0
-            elif kind == "xori":
-                r = a ^ d.imm
-            elif kind == "ori":
-                r = a | d.imm
-            elif kind == "andi":
-                r = a & d.imm
-            elif kind == "slli":
-                r = a << d.imm
-            elif kind == "srli":
-                r = a >> d.imm
-            else:
-                r = _sext(a, 32) >> d.imm
-            m.regs.write(d.rd, r)
-        elif kind in ("sub", "sll", "slt", "sltu", "xor", "srl", "sra",
-                      "or", "and"):
-            a, b = regs[d.rs1], regs[d.rs2]
-            if kind == "sub":
-                r = a - b
-            elif kind == "sll":
-                r = a << (b & 31)
-            elif kind == "slt":
-                r = 1 if _sext(a, 32) < _sext(b, 32) else 0
-            elif kind == "sltu":
-                r = 1 if a < b else 0
-            elif kind == "xor":
-                r = a ^ b
-            elif kind == "srl":
-                r = a >> (b & 31)
-            elif kind == "sra":
-                r = _sext(a, 32) >> (b & 31)
-            elif kind == "or":
-                r = a | b
-            else:
-                r = a & b
-            m.regs.write(d.rd, r)
-        elif kind in ("lb", "lh", "lbu", "lhu"):
-            nbytes = 1 if kind in ("lb", "lbu") else 2
-            val, lat = m.load_scalar((regs[d.rs1] + d.imm) & M32, nbytes)
-            if kind in ("lb", "lh"):
-                val = _sext(val, 8 * nbytes) & M32
-            m.regs.write(d.rd, val)
-            extra = lat - 1
-        elif kind in ("sb", "sh"):
-            nbytes = 1 if kind == "sb" else 2
-            extra = m.store_scalar((regs[d.rs1] + d.imm) & M32, nbytes,
-                                   regs[d.rs2]) - 1
-        elif kind in ("csrrw", "csrrs", "csrrc",
-                      "csrrwi", "csrrsi", "csrrci"):
-            imm_form = kind.endswith("i")
-            src = d.rs1 if imm_form else regs[d.rs1]
-            base = kind[:5]
-            if base == "csrrw":
-                old = m.csr_access(d.csr, "write", src)
-            elif base == "csrrs":
-                op = "set" if (imm_form and d.rs1) or \
-                    (not imm_form and d.rs1) else "read"
-                old = m.csr_access(d.csr, op, src)
-            else:
-                op = "clear" if d.rs1 else "read"
-                old = m.csr_access(d.csr, op, src)
-            m.regs.write(d.rd, old)
-        elif kind == "mmul":
-            return self._exec_mmul(m, d)
-        elif kind == "fence":
-            pass
-        elif kind == "ecall":
-            # halt convention: a0 carries the exit code
-            m.halted = True
-            m.exit_code = regs[10]
-        elif kind == "ebreak":
-            raise IllegalInstruction("ebreak (no debugger attached)")
-        elif kind == "mret":
-            status = m.csr[MSTATUS]
-            mie = MSTATUS_MIE if status & MSTATUS_MPIE else 0
-            m.csr[MSTATUS] = (status & ~MSTATUS_MIE) | mie | MSTATUS_MPIE
-            m.pc = m.csr[MEPC]
-            m.in_handler = False
-            return self.taken_branch_penalty
-        else:  # pragma: no cover - decode guarantees coverage
-            raise IllegalInstruction(kind)
-        m.pc = (pc + d.length) & M32
-        return extra
-
-    def _exec_mmul(self, m, d):
-        regs = m.regs.x
-        eng = m.engine
-        ops = MmulOperands(addr_a=regs[d.rs1], addr_b=regs[d.rs2],
-                           addr_n=regs[d.rs3], addr_p=regs[d.rd],
-                           words=d.words)
-        stats = m.stats
-        if eng.busy:
-            if m.in_handler:
-                raise SequenceBroken(
-                    "MMUL issued from a trap handler mid-sequence")
-            res = eng.execute_partial_call(m, ops)
-        elif m.csr[MMUL_MODE] & 1:
-            res = eng.execute_partial_call(m, ops)
-            stats.mmul_invocations += 1
-        else:
-            res = eng.execute_atomic(m, ops)
-            stats.mmul_invocations += 1
-        stats.mmul_cycles += res.cycles
-        m.pc = (m.pc + 4) & M32
-        return res.cycles
-
-    # -- run loop ----------------------------------------------------------
-
-    def run(self, budget=None, until_pc=None, irq_schedule=(), config="BA"):
+    def run(self, budget=None, irq_schedule=(), config="BA"):
         """Step until a stop condition; returns populated RunStats."""
         m = self.m
         stats = m.stats
@@ -532,13 +489,13 @@ class Cpu:
                 if budget is not None and m.cycle >= budget:
                     stats.stop_reason = "budget"
                     break
-                if until_pc is not None and m.pc == until_pc:
-                    stats.stop_reason = "sentinel"
-                    break
                 self.step()
         except SimError as exc:
             stats.stop_reason = "trap"
             stats.trap_cause = f"{type(exc).__name__}: {exc}"
+            stats.trap_pc = m.pc
+            with suppress(SimError):  # null when the fetch itself faulted
+                stats.trap_insn = m.mem.fetch_unit(m.pc)
         stats.total_cycles = m.cycle
         stats.exit_code = m.exit_code
         return stats

@@ -58,44 +58,41 @@ class RegisterFile:
 
 
 class Memory:
-    """Single flat byte-addressed region with configurable access latency."""
+    """Single flat byte-addressed region from address 0 with configurable
+    access latency."""
 
-    def __init__(self, base=0, size=DEFAULT_MEM_SIZE,
-                 read_latency=1, write_latency=1):
+    def __init__(self, size=DEFAULT_MEM_SIZE, read_latency=1, write_latency=1):
         if read_latency < 0 or write_latency < 0:
             raise ValueError("latencies must be non-negative")
-        self.base = base
         self.data = bytearray(size)
         self.read_latency = read_latency
         self.write_latency = write_latency
 
-    def _offset(self, addr, nbytes):
-        off = addr - self.base
-        if off < 0 or off + nbytes > len(self.data):
+    def _check(self, addr, nbytes):
+        if addr < 0 or addr + nbytes > len(self.data):
             raise UnmappedAddress(f"0x{addr:08x}")
-        return off
 
     def read(self, addr, nbytes):
-        off = self._offset(addr, nbytes)
-        return int.from_bytes(self.data[off:off + nbytes], "little")
+        self._check(addr, nbytes)
+        return int.from_bytes(self.data[addr:addr + nbytes], "little")
 
     def write(self, addr, nbytes, value):
-        off = self._offset(addr, nbytes)
-        self.data[off:off + nbytes] = (value & ((1 << (8 * nbytes)) - 1)) \
+        self._check(addr, nbytes)
+        self.data[addr:addr + nbytes] = (value & ((1 << (8 * nbytes)) - 1)) \
             .to_bytes(nbytes, "little")
 
     def fetch_unit(self, addr):
         """32-bit fetch window at addr (zero-padded at the top of memory)."""
-        off = self._offset(addr, 2)
-        lo = int.from_bytes(self.data[off:off + 2], "little")
+        self._check(addr, 2)
+        lo = int.from_bytes(self.data[addr:addr + 2], "little")
         if lo & 3 != 3:
             return lo
-        off = self._offset(addr, 4)
-        return int.from_bytes(self.data[off:off + 4], "little")
+        self._check(addr, 4)
+        return int.from_bytes(self.data[addr:addr + 4], "little")
 
     def load_image(self, blob, base):
-        off = self._offset(base, len(blob))
-        self.data[off:off + len(blob)] = blob
+        self._check(base, len(blob))
+        self.data[base:base + len(blob)] = blob
 
 
 class Machine:

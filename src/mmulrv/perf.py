@@ -41,10 +41,9 @@ class RunStats:
         "decode_cycles", "alu_cycles", "regfile_cycles", "mmul_cycles",
         "mmul_invocations",
     )
-    __slots__ = COUNTERS + (
-        "config", "interrupt_latencies", "stop_reason", "exit_code",
-        "trap_cause",
-    )
+    STOP_FIELDS = ("stop_reason", "exit_code", "trap_cause", "trap_pc",
+                   "trap_insn")
+    __slots__ = COUNTERS + STOP_FIELDS + ("config", "interrupt_latencies")
 
     def __init__(self, config="BA"):
         self.config = config
@@ -59,9 +58,11 @@ class RunStats:
         self.mmul_cycles = 0
         self.interrupt_latencies = []  # list of (assert_cycle, service_cycle)
         self.mmul_invocations = 0
-        self.stop_reason = None  # halt | budget | sentinel | trap
+        self.stop_reason = None  # halt | budget | trap; None before a run
         self.exit_code = 0
         self.trap_cause = None
+        self.trap_pc = None    # pc of the trapping instruction
+        self.trap_insn = None  # its raw fetch unit; None if the fetch faulted
 
     def module_active_cycles(self):
         return {m: getattr(self, m + "_cycles") for m in MODULES}
@@ -76,9 +77,7 @@ class RunStats:
             "module_active_cycles": self.module_active_cycles(),
             "interrupt_latencies": [list(p) for p in self.interrupt_latencies],
             "mmul_invocations": self.mmul_invocations,
-            "stop_reason": self.stop_reason,
-            "exit_code": self.exit_code,
-            "trap_cause": self.trap_cause,
+            **{name: getattr(self, name) for name in self.STOP_FIELDS},
         }
 
     def merge(self, other):
@@ -88,9 +87,8 @@ class RunStats:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.interrupt_latencies.extend(other.interrupt_latencies)
         if (other.stop_reason, other.exit_code) != ("halt", 0):
-            self.stop_reason = other.stop_reason
-            self.exit_code = other.exit_code
-            self.trap_cause = other.trap_cause
+            for name in self.STOP_FIELDS:
+                setattr(self, name, getattr(other, name))
         return self
 
 

@@ -7,7 +7,8 @@ from mmulrv.cli import (EXIT_BUDGET, EXIT_ERROR, EXIT_OK, EXIT_TRAP, main)
 RUN_KEYS = {"config", "total_cycles", "retired", "mem_reads", "mem_writes",
             "module_active_cycles", "interrupt_latencies",
             "avg_power_watts", "normalized_energy", "mmul_invocations",
-            "stop_reason", "exit_code", "trap_cause"}
+            "stop_reason", "exit_code", "trap_cause", "trap_pc", "trap_insn",
+            "normalized_energy_reason"}
 SMALL_FIELD = ["--set", "modulus=239", "--set", "words=1"]
 
 
@@ -70,6 +71,9 @@ def test_run_report_fields(capsys):
     assert code == EXIT_OK
     assert (doc["stop_reason"], doc["exit_code"], doc["trap_cause"],
             doc["mmul_invocations"]) == ("halt", 0, None, 1)
+    assert (doc["trap_pc"], doc["trap_insn"]) == (None, None)
+    assert doc["normalized_energy"] > 0
+    assert doc["normalized_energy_reason"] is None
 
 
 def test_truncated_run_reports_no_energy(capsys):
@@ -78,6 +82,7 @@ def test_truncated_run_reports_no_energy(capsys):
     assert code == EXIT_BUDGET
     assert doc["stop_reason"] == "budget"
     assert doc["normalized_energy"] is None
+    assert doc["normalized_energy_reason"] == "the run stopped by budget"
     assert doc["avg_power_watts"] is None
 
 
@@ -89,6 +94,18 @@ def test_truncated_reference_reports_no_energy(capsys):
     assert code == EXIT_OK
     assert doc["avg_power_watts"] > 0
     assert doc["normalized_energy"] is None
+    assert doc["normalized_energy_reason"] == \
+        "the BA reference stopped by budget"
+
+
+def test_pinned_guest_reports_why_no_energy(capsys):
+    # the irq_sweep guests exist for one configuration: no BA reference
+    code, doc = _run_json(capsys, [
+        "run", "--guest", "irq_sweep_atomic", "--config", "CI-AE",
+        "--irq", "200"])
+    assert code == EXIT_OK
+    assert doc["normalized_energy"] is None
+    assert "pins its configuration" in doc["normalized_energy_reason"]
 
 
 def test_run_writes_output_file(tmp_path, capsys):
@@ -142,6 +159,21 @@ def test_bad_set_syntax(capsys):
     code = main(["run", "--guest", "montmul_once", "--set", "oops"])
     assert code == EXIT_ERROR
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--guest", "irq_sweep_partial", "--config", "CI-PE", "--sweep", "1:2"],
+     "bad sweep spec '1:2'"),
+    (["--guest", "irq_sweep_partial", "--config", "CI-PE",
+      "--sweep", "1:x:1"], "--sweep expects an integer, got 'x'"),
+    (["--guest", "montmul_once", "--set", "a=xyz"],
+     "--set a expects an integer, got 'xyz'"),
+    (["--guest", "montmul_once", "--irq", "xyz"],
+     "--irq expects an integer, got 'xyz'"),
+], ids=["sweep-fields", "sweep-value", "set-value", "irq-value"])
+def test_malformed_number_is_a_usage_error(capsys, argv, message):
+    assert main(["run", *argv]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_empty_sweep_rejected(capsys):

@@ -7,7 +7,7 @@ from mmulrv import isa
 from mmulrv.asm import Asm
 from mmulrv.errors import IllegalInstruction
 from mmulrv.isa import Cpu, decode
-from mmulrv.machine import MEPC, MIE, MSTATUS, MTVEC
+from mmulrv.machine import DEFAULT_MEM_SIZE, MEPC, MIE, MSTATUS, MTVEC
 
 
 def _load(machine, blob, base=0):
@@ -214,21 +214,38 @@ def test_run_stops_on_budget():
     assert 100 <= stats.total_cycles <= 102
 
 
-def test_run_stops_at_sentinel():
-    def prog(a):
-        a.nop()
-        a.nop()
-    m, cpu = _cpu_with(_asm(prog))
-    stats = cpu.run(budget=50, until_pc=8)
-    assert stats.stop_reason == "sentinel"
-    assert stats.retired == 2
-
-
 def test_run_traps_on_illegal():
     m, cpu = _cpu_with(b"\x00\x00\x00\x00")
     stats = cpu.run(budget=10)
     assert stats.stop_reason == "trap"
     assert "IllegalInstruction" in stats.trap_cause
+
+
+def _assert_trap_at(blob, pc, cause, raw):
+    m, cpu = _cpu_with(blob)
+    stats = cpu.run(budget=100)
+    assert stats.stop_reason == "trap"
+    assert stats.trap_cause.startswith(cause)
+    assert (stats.trap_pc, stats.trap_insn) == (pc, raw)
+    assert m.pc == pc  # a fault leaves pc at the faulting instruction
+    assert stats.to_dict()["trap_pc"] == pc
+
+
+def test_trap_reports_illegal_word():
+    blob = _asm(lambda a: (a.nop(), a.nop())) + b"\xff\xff\xff\xff"
+    _assert_trap_at(blob, 8, "IllegalInstruction", 0xFFFFFFFF)
+
+
+def test_trap_reports_misaligned_load():
+    blob = _asm(lambda a: (a.li(2, 0x10001), a.lw(5, 2, 0)))
+    _assert_trap_at(blob, len(blob) - 4, "MisalignedAccess",
+                    int.from_bytes(blob[-4:], "little"))
+
+
+def test_trap_reports_pc_off_the_end_of_memory():
+    blob = _asm(lambda a: (a.li(1, DEFAULT_MEM_SIZE), a.jalr(0, 1)))
+    # the fetch itself faults, so there is no raw unit
+    _assert_trap_at(blob, DEFAULT_MEM_SIZE, "UnmappedAddress", None)
 
 
 def test_run_counts_memory_traffic():
