@@ -24,8 +24,11 @@ EXIT_BUDGET = 3
 
 
 def _machine(args):
-    mem = Memory(read_latency=args.read_latency,
-                 write_latency=args.write_latency)
+    try:
+        mem = Memory(read_latency=args.read_latency,
+                     write_latency=args.write_latency)
+    except ValueError as exc:  # a negative latency
+        raise SimError(str(exc)) from None
     return Machine(memory=mem, max_words=args.words)
 
 

@@ -61,5 +61,9 @@ class GuestNotFound(SimError):
     pass
 
 
+class UnknownInput(SimError):
+    """A guest was given an input it does not read."""
+
+
 class InvalidConfig(SimError):
     pass

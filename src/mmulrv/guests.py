@@ -16,7 +16,7 @@ caller-saved scratch.
 from dataclasses import dataclass, field
 
 from .asm import Asm
-from .errors import GuestNotFound, InvalidConfig
+from .errors import GuestNotFound, InvalidConfig, UnknownInput
 from .machine import (CODE_BASE, DATA_BASE, MCYCLE, MIE, MIP, MMUL_MODE,
                       MSTATUS, MTVEC)
 from .perf import CONFIGS
@@ -599,42 +599,50 @@ _IRQ_B = 0x0FEDCBA987654321AABBCCDDEEFF0011 * (1 << 120) + 123456789
 _IRQ_SWEEP_CONFIG = {"irq_sweep_atomic": "CI-AE", "irq_sweep_partial": "CI-PE"}
 
 
+# guest name -> its inputs and their defaults, the names --set may override
+_INPUTS = {
+    "modexp128": {"modulus": P128, "exponent_bits": 16, "base": 3,
+                  "exponent": 0xB105},
+    "modexp256": {"modulus": P25519, "exponent_bits": 16, "base": 5,
+                  "exponent": 0xC0DE},
+    "x25519_ladder": {"scalar": 0x2B, "u": 9, "scalar_bits": None},
+    **{name: {"modulus": P25519, "a": _IRQ_A, "b": _IRQ_B}
+       for name in _IRQ_SWEEP_CONFIG},
+    "montmul_once": {"modulus": P25519, "words": 8, "a": _IRQ_A, "b": _IRQ_B,
+                     "irq": False},
+}
+
+
 def build_guest(name, config, params=None):
-    """Build a registered guest by name for one configuration."""
-    p = dict(params or {})
+    """Build a registered guest by name for one configuration; `params`
+    overrides some of the guest's inputs."""
     if config not in CONFIGS:
         raise InvalidConfig(f"unknown configuration {config!r}")
-    if name == "modexp128":
-        ctx = FieldContext(p.get("modulus", P128), 4)
-        return emit_modexp(ctx, p.get("exponent_bits", 16),
-                           p.get("base", 3), p.get("exponent", 0xB105),
-                           config, name=name)
-    if name == "modexp256":
-        ctx = FieldContext(p.get("modulus", P25519), 8)
-        return emit_modexp(ctx, p.get("exponent_bits", 16),
-                           p.get("base", 5), p.get("exponent", 0xC0DE),
+    if name not in _INPUTS:
+        raise GuestNotFound(name)
+    unknown = sorted(set(params or ()) - set(_INPUTS[name]))
+    if unknown:
+        raise UnknownInput(f"{name} has no input {', '.join(unknown)}; "
+                           f"its inputs are {', '.join(_INPUTS[name])}")
+    p = {**_INPUTS[name], **(params or {})}
+    if name in ("modexp128", "modexp256"):
+        ctx = FieldContext(p["modulus"], 4 if name == "modexp128" else 8)
+        return emit_modexp(ctx, p["exponent_bits"], p["base"], p["exponent"],
                            config, name=name)
     if name == "x25519_ladder":
-        return emit_ladder_x25519_field(
-            p.get("scalar", 0x2B), p.get("u", 9), config,
-            scalar_bits=p.get("scalar_bits"), name=name)
+        return emit_ladder_x25519_field(p["scalar"], p["u"], config,
+                                        scalar_bits=p["scalar_bits"],
+                                        name=name)
     if name in _IRQ_SWEEP_CONFIG:
         if config != _IRQ_SWEEP_CONFIG[name]:
             raise InvalidConfig(
                 f"{name} requires config {_IRQ_SWEEP_CONFIG[name]}")
-        ctx = FieldContext(p.get("modulus", P25519), 8)
-        return emit_single_montmul(ctx, p.get("a", _IRQ_A),
-                                   p.get("b", _IRQ_B), config,
+        ctx = FieldContext(p["modulus"], 8)
+        return emit_single_montmul(ctx, p["a"], p["b"], config,
                                    with_irq_harness=True, name=name)
-    if name == "montmul_once":
-        ctx = FieldContext(p.get("modulus", P25519),
-                           p.get("words", 8))
-        return emit_single_montmul(ctx, p.get("a", _IRQ_A),
-                                   p.get("b", _IRQ_B), config,
-                                   with_irq_harness=p.get("irq", False),
-                                   name=name)
-    raise GuestNotFound(name)
+    ctx = FieldContext(p["modulus"], p["words"])  # montmul_once
+    return emit_single_montmul(ctx, p["a"], p["b"], config,
+                               with_irq_harness=p["irq"], name=name)
 
 
-GUEST_NAMES = ("modexp128", "modexp256", "x25519_ladder",
-               "irq_sweep_atomic", "irq_sweep_partial", "montmul_once")
+GUEST_NAMES = tuple(_INPUTS)

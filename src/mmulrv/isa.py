@@ -7,6 +7,7 @@ on top and never double-counted.  Interrupt entry costs 3 cycles.  The
 model is fixed and the same for BA/CI-AE/CI-PE.
 """
 
+import math
 import operator
 from contextlib import suppress
 from functools import lru_cache
@@ -309,13 +310,16 @@ TRAP_ENTRY_CYCLES = 3     # cycles of an interrupt entry
 # only to transfer control, and returns its cycles beyond BASE_CPI + wait.
 
 def _alu(m, d, pc, fn):
-    x = m.regs.x
-    m.regs.write(d.rd, fn(x[d.rs1], x[d.rs2]))
+    if d.rd:
+        x = m.regs.x
+        x[d.rd] = fn(x[d.rs1], x[d.rs2]) & M32
     return 0
 
 
 def _alu_imm(m, d, pc, fn):
-    m.regs.write(d.rd, fn(m.regs.x[d.rs1], d.imm & M32))
+    if d.rd:
+        x = m.regs.x
+        x[d.rd] = fn(x[d.rs1], d.imm & M32) & M32
     return 0
 
 
@@ -447,20 +451,29 @@ class Cpu:
 
     def step(self):
         """Retire one instruction (or take a pending enabled interrupt).
-        A fault leaves m.pc at the faulting instruction."""
+        A fault leaves m.pc at the faulting instruction.
+
+        Decoded instructions are cached per pc in `m.mem.decoded`; a miss
+        fetches and decodes, and caches nothing when either raises."""
         m = self.m
-        if m.interrupt_ready():
+        if m.irq_pending and m.interrupt_ready():
             return self._enter_interrupt()
         pc = m.pc
-        d = decode(m.mem.fetch_unit(pc))
-        execute, value, uses_alu = _EXECUTE[d.kind]
+        mem = m.mem
+        entry = mem.decoded.get(pc)
+        if entry is None:
+            d = decode(mem.fetch_unit(pc))
+            entry = mem.decoded[pc] = (d,) + _EXECUTE[d.kind]
+            if pc + 4 > mem.code_top:
+                mem.code_top = pc + 4
+        d, execute, value, uses_alu = entry
         m.pc = (pc + d.length) & M32  # a control transfer overwrites it
         try:
             extra = execute(m, d, pc, value)
         except SimError:
             m.pc = pc
             raise
-        fetch_wait = m.mem.read_latency - 1
+        fetch_wait = mem.read_latency - 1
         cycles = BASE_CPI + fetch_wait + extra
         m.cycle += cycles
         stats = m.stats
@@ -469,13 +482,19 @@ class Cpu:
         stats.decode_cycles += 1
         stats.regfile_cycles += 1
         stats.alu_cycles += uses_alu
-        return StepReport(d.kind, cycles)
+        # _make skips the NamedTuple's Python-level __new__: half the cost
+        return StepReport._make((d.kind, cycles))
 
     def run(self, budget=None, irq_schedule=(), config="BA"):
-        """Step until a stop condition; returns populated RunStats."""
+        """Step until a stop condition; returns populated RunStats.
+
+        Scheduled interrupts are raised, and the halt and budget checked,
+        only at a wake cycle: the next scheduled interrupt or the budget,
+        whichever is first.  Between wakes the loop only steps."""
         m = self.m
         stats = m.stats
         stats.config = config
+        step = self.step
         sched = sorted(irq_schedule)
         si = 0
         try:
@@ -489,7 +508,11 @@ class Cpu:
                 if budget is not None and m.cycle >= budget:
                     stats.stop_reason = "budget"
                     break
-                self.step()
+                wake = sched[si] if si < len(sched) else math.inf
+                if budget is not None and budget < wake:
+                    wake = budget
+                while m.cycle < wake and not m.halted:
+                    step()
         except SimError as exc:
             stats.stop_reason = "trap"
             stats.trap_cause = f"{type(exc).__name__}: {exc}"

@@ -59,7 +59,14 @@ class RegisterFile:
 
 class Memory:
     """Single flat byte-addressed region from address 0 with configurable
-    access latency."""
+    access latency.
+
+    `decoded` caches the core's decoded instruction per pc.  Every write
+    drops the entries whose 4-byte fetch window [pc, pc + 4) it overlaps,
+    so a store into code is seen by the next fetch.  `code_top` is the end
+    of the highest window ever cached: a write at or above it, such as a
+    data or MMUL engine store, costs one comparison.
+    """
 
     def __init__(self, size=DEFAULT_MEM_SIZE, read_latency=1, write_latency=1):
         if read_latency < 0 or write_latency < 0:
@@ -67,6 +74,8 @@ class Memory:
         self.data = bytearray(size)
         self.read_latency = read_latency
         self.write_latency = write_latency
+        self.decoded = {}  # pc -> (decoded, executor, table value, uses_alu)
+        self.code_top = 0
 
     def _check(self, addr, nbytes):
         if addr < 0 or addr + nbytes > len(self.data):
@@ -80,19 +89,30 @@ class Memory:
         self._check(addr, nbytes)
         self.data[addr:addr + nbytes] = (value & ((1 << (8 * nbytes)) - 1)) \
             .to_bytes(nbytes, "little")
+        if addr < self.code_top:
+            self._invalidate(addr, addr + nbytes)
 
     def fetch_unit(self, addr):
         """32-bit fetch window at addr (zero-padded at the top of memory)."""
         self._check(addr, 2)
-        lo = int.from_bytes(self.data[addr:addr + 2], "little")
+        data = self.data
+        lo = data[addr] | data[addr + 1] << 8
         if lo & 3 != 3:
             return lo
         self._check(addr, 4)
-        return int.from_bytes(self.data[addr:addr + 4], "little")
+        return lo | data[addr + 2] << 16 | data[addr + 3] << 24
 
     def load_image(self, blob, base):
         self._check(base, len(blob))
         self.data[base:base + len(blob)] = blob
+        if base < self.code_top:
+            self._invalidate(base, base + len(blob))
+
+    def _invalidate(self, start, end):
+        """Drop the decoded entries whose fetch window meets [start, end)."""
+        decoded = self.decoded
+        for pc in [pc for pc in decoded if start - 4 < pc < end]:
+            del decoded[pc]
 
 
 class Machine:

@@ -5,11 +5,23 @@ import pytest
 from mmulrv.guests import build_guest
 from mmulrv.isa import Cpu
 from mmulrv.machine import DATA_BASE, Machine, Memory
+from mmulrv.perf import RunStats
 
 
 def make_machine(read_latency=1, write_latency=1, max_words=8):
     mem = Memory(read_latency=read_latency, write_latency=write_latency)
     return Machine(memory=mem, max_words=max_words)
+
+
+def machine_state(m):
+    """Everything a step or a run can change, to compare twin machines."""
+    stats = m.stats
+    return (list(m.regs.x), m.pc, m.cycle, bytes(m.mem.data), dict(m.csr),
+            m.halted, m.exit_code, m.in_handler, m.engine.status_word(),
+            m.irq_pending, m.irq_assert_cycle, stats.config,
+            list(stats.interrupt_latencies),
+            [getattr(stats, name)
+             for name in RunStats.COUNTERS + RunStats.STOP_FIELDS])
 
 
 def write_value(machine, addr, value, words):
@@ -64,5 +76,5 @@ def machine():
     return make_machine()
 
 
-__all__ = ["build_guest", "make_machine", "mont_oracle", "operand_block",
-           "read_value", "run_guest", "write_value"]
+__all__ = ["build_guest", "machine_state", "make_machine", "mont_oracle",
+           "operand_block", "read_value", "run_guest", "write_value"]

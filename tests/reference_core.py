@@ -1,15 +1,19 @@
-"""The interpreter core before table dispatch: `_execute` is an if/elif
-chain on the instruction kind, as it was written first.  Test-only: the
-differential tests step it and `mmulrv.isa.Cpu` on twin machines.
+"""The interpreter core before table dispatch and the decoded-instruction
+cache: `step` fetches and decodes every instruction, `_execute` is an
+if/elif chain on the instruction kind, as it was written first, and `run`
+checks the interrupt schedule, the halt and the budget before every step.
+Test-only: the differential tests run it and `mmulrv.isa.Cpu` on twin
+machines.
 
-Only `step`, `_execute` and `_exec_mmul` are kept; interrupt entry and the
-run loop are inherited from `Cpu`.  The timing knobs it once took are
-inlined at their only values: 1 base cycle and a 1-cycle taken-branch
-penalty.
+Only `step`, `_execute`, `_exec_mmul` and `run` are kept; interrupt entry
+is inherited from `Cpu`.  The timing knobs it once took are inlined at
+their only values: 1 base cycle and a 1-cycle taken-branch penalty.
 """
 
+from contextlib import suppress
+
 from mmulrv.engine import MmulOperands
-from mmulrv.errors import IllegalInstruction, SequenceBroken
+from mmulrv.errors import IllegalInstruction, SequenceBroken, SimError
 from mmulrv.isa import Cpu, StepReport, decode
 from mmulrv.machine import (M32, MEPC, MMUL_MODE, MSTATUS, MSTATUS_MIE,
                             MSTATUS_MPIE)
@@ -200,3 +204,32 @@ class ReferenceCpu(Cpu):
         stats.mmul_cycles += res.cycles
         m.pc = (m.pc + 4) & M32
         return res.cycles
+
+    def run(self, budget=None, irq_schedule=(), config="BA"):
+        """Step until a stop condition; returns populated RunStats."""
+        m = self.m
+        stats = m.stats
+        stats.config = config
+        sched = sorted(irq_schedule)
+        si = 0
+        try:
+            while True:
+                while si < len(sched) and sched[si] <= m.cycle:
+                    m.raise_interrupt(0, at_cycle=sched[si])
+                    si += 1
+                if m.halted:
+                    stats.stop_reason = "halt"
+                    break
+                if budget is not None and m.cycle >= budget:
+                    stats.stop_reason = "budget"
+                    break
+                self.step()
+        except SimError as exc:
+            stats.stop_reason = "trap"
+            stats.trap_cause = f"{type(exc).__name__}: {exc}"
+            stats.trap_pc = m.pc
+            with suppress(SimError):  # null when the fetch itself faulted
+                stats.trap_insn = m.mem.fetch_unit(m.pc)
+        stats.total_cycles = m.cycle
+        stats.exit_code = m.exit_code
+        return stats

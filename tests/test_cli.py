@@ -176,6 +176,17 @@ def test_malformed_number_is_a_usage_error(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--read-latency", "-1"], "latencies must be non-negative"),
+    (["--write-latency", "-2"], "latencies must be non-negative"),
+    (["--set", "foo=1"], "montmul_once has no input foo; its inputs are "
+                         "modulus, words, a, b, irq"),
+], ids=["read-latency", "write-latency", "set-name"])
+def test_bad_machine_or_guest_input_is_a_usage_error(capsys, argv, message):
+    assert main(["run", "--guest", "montmul_once", *argv]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_empty_sweep_rejected(capsys):
     code = main(["run", "--guest", "irq_sweep_partial", "--config", "CI-PE",
                  "--sweep", "100:100:1"])

@@ -1,6 +1,11 @@
-"""The table executor in `mmulrv.isa.Cpu` against the chain executor of
-`reference_core.ReferenceCpu`: both step the same decode-valid units on twin
-machines and must leave identical state, reports and faults.
+"""`mmulrv.isa.Cpu` against `reference_core.ReferenceCpu`, on twin machines
+that must end in identical state, reports and faults:
+
+- the table executor against the chain executor, stepping the same
+  decode-valid units;
+- the run loop, which checks interrupts, halt and budget only at wake
+  cycles, against the loop that checks them before every step, on random
+  programs and on real guests under interrupt schedules and budgets.
 
 Units are drawn by kind, so every kind is reached; register values point
 both into mapped data (aligned or not) and at unmapped addresses, so loads,
@@ -10,17 +15,17 @@ stores and MMUL both retire and fault.
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_machine
+from conftest import build_guest, machine_state, make_machine
 from mmulrv import isa
 from mmulrv.engine import MmulOperands
 from mmulrv.errors import IllegalInstruction, SimError
 from mmulrv.machine import (DATA_BASE, DEFAULT_MEM_SIZE, M32, MCAUSE, MCYCLE,
-                            MEPC, MIE, MIP, MMUL_MODE, MMUL_STATUS, MSCRATCH,
-                            MSTATUS, MTVEC)
-from mmulrv.perf import RunStats
+                            MEI_BIT, MEPC, MIE, MIP, MMUL_MODE, MMUL_STATUS,
+                            MSCRATCH, MSTATUS, MSTATUS_MIE, MTVEC)
 from reference_core import ReferenceCpu
 
 CSRS = (MSTATUS, MIE, MTVEC, MSCRATCH, MEPC, MCAUSE, MIP, MMUL_MODE,
@@ -129,13 +134,6 @@ def _twins(rng, first_kind=None):
     return cores, len(program)
 
 
-def _state(m):
-    stats = m.stats
-    return (list(m.regs.x), m.pc, m.cycle, bytes(m.mem.data), dict(m.csr),
-            m.halted, m.exit_code, m.in_handler, m.engine.status_word(),
-            [getattr(stats, name) for name in RunStats.COUNTERS])
-
-
 def _step(cpu):
     try:
         report = cpu.step()
@@ -156,7 +154,7 @@ def _check(rng, first_kind=None):
             kind = None
         outcome = _step(fast)
         assert outcome == _step(ref), kind
-        assert _state(fast.m) == _state(ref.m), kind
+        assert machine_state(fast.m) == machine_state(ref.m), kind
         faulted = isinstance(outcome[0], type)
         seen.setdefault(kind, set()).add("fault" if faulted else "retired")
         if faulted or fast.m.halted:
@@ -184,3 +182,87 @@ def test_every_table_kind_retires_and_matches():
     assert never_retired == {"ebreak"}  # ebreak always traps
     assert all(seen[k, "fault"] for k in ("lw", "lh", "lhu", "sw", "sh",
                                           "mmul", "csrrw", "ebreak"))
+
+
+def _run_twins(cores, budget, schedule, config="BA"):
+    """Runs both cores to a stop; their machines must end identical."""
+    fast, ref = (core.run(budget=budget, irq_schedule=schedule,
+                          config=config) for core in cores)
+    assert (fast.stop_reason, fast.trap_cause) == \
+        (ref.stop_reason, ref.trap_cause)
+    assert machine_state(cores[0].m) == machine_state(cores[1].m)
+    return fast
+
+
+def _schedule(rng, end):
+    """Assert cycles in [0, end]: sometimes none, sometimes 0 or repeats."""
+    cycles = [rng.randrange(end + 1) for _ in range(rng.randrange(4))]
+    if rng.random() < 0.2:
+        cycles.append(0)
+    if cycles and rng.random() < 0.3:
+        cycles.append(rng.choice(cycles))
+    return cycles
+
+
+@given(rng=st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_run_loop_matches_reference(rng):
+    """Random programs, interrupts enabled or not, random schedules and
+    budgets: both run loops stop at the same cycle for the same reason."""
+    cores, _ = _twins(rng)
+    handler = rng.choice((cores[0].m.pc, 2 * rng.randrange(0x800)))
+    enabled = rng.random() < 0.7
+    for core in cores:
+        m = core.m
+        m.csr[MTVEC] = handler
+        if enabled:
+            m.csr[MSTATUS] |= MSTATUS_MIE
+            m.csr[MIE] = MEI_BIT
+    budget = rng.choice((0, rng.randrange(1, 40), 400))  # programs may spin
+    _run_twins(cores, budget, _schedule(rng, 40))
+
+
+def _run_guest(guest, latency, budget, schedule=()):
+    """`guest` run on twin machines, one per core; the fast core's stats."""
+    cores = []
+    for core in (isa.Cpu, ReferenceCpu):
+        m = make_machine(latency, latency)
+        guest.load(m)
+        cores.append(core(m))
+    return _run_twins(cores, budget, schedule, guest.config)
+
+
+@pytest.mark.parametrize("name,config", [("irq_sweep_atomic", "CI-AE"),
+                                         ("irq_sweep_partial", "CI-PE")])
+def test_run_loop_matches_reference_on_irq_sweeps(name, config):
+    """Whole interrupt-sweep guests under schedules that assert at cycle 0,
+    twice at one cycle, and after the halt, at memory latency 1 and 2."""
+    rng = random.Random(f"run-loop/{name}")
+    guest = build_guest(name, config)
+    budget = guest.budget_hint
+    for latency in (1, 2):
+        end = _run_guest(guest, latency, budget).total_cycles
+        schedules = [[0], [end], [end + 5], [7, 7], [0, end // 2, end + 1]]
+        schedules += [_schedule(rng, end + 20) for _ in range(12)]
+        for schedule in schedules:
+            stats = _run_guest(guest, latency, budget, schedule)
+            assert stats.stop_reason == "halt"
+
+
+@pytest.mark.parametrize("config", ["BA", "CI-AE", "CI-PE"])
+def test_run_loop_matches_reference_under_budgets(config):
+    """montmul_once to halt, and a small field under budgets of 0, a few
+    cycles, around the halt cycle and with interrupts."""
+    rng = random.Random(f"run-loop/{config}")
+    stats = _run_guest(build_guest("montmul_once", config), 1, None)
+    assert stats.stop_reason == "halt"
+    small = build_guest("montmul_once", config,
+                        {"modulus": 239, "words": 1, "a": 100, "b": 55,
+                         "irq": 1})
+    end = _run_guest(small, 1, None).total_cycles
+    budgets = [0, 1, 2, 3, end - 1, end, end + 1]
+    budgets += [rng.randrange(end) for _ in range(8)]
+    for budget in budgets:
+        for schedule in ((), _schedule(rng, end)):
+            stats = _run_guest(small, rng.choice((1, 2)), budget, schedule)
+            assert stats.stop_reason in ("halt", "budget")

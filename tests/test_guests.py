@@ -5,7 +5,7 @@ from mmulrv import guests
 from mmulrv.encoding import OPCODE_CUSTOM0
 from mmulrv.guests import (CONFIGS, FieldContext, build_guest, emit_modexp,
                            ladder_reference)
-from mmulrv.errors import GuestNotFound, InvalidConfig
+from mmulrv.errors import GuestNotFound, InvalidConfig, UnknownInput
 from mmulrv import isa
 
 
@@ -181,6 +181,15 @@ class TestRegistry:
     def test_unknown_config(self):
         with pytest.raises(InvalidConfig):
             build_guest("modexp128", "TURBO")
+
+    @pytest.mark.parametrize("name", guests.GUEST_NAMES)
+    def test_unknown_input_rejected(self, name):
+        config = {"irq_sweep_atomic": "CI-AE",
+                  "irq_sweep_partial": "CI-PE"}.get(name, "BA")
+        with pytest.raises(UnknownInput,
+                           match=f"^{name} has no input modulo, z; its "
+                                 "inputs are "):
+            build_guest(name, config, {"z": 1, "modulo": 3})
 
     def test_sweep_guests_pin_their_config(self):
         with pytest.raises(InvalidConfig):
