@@ -1,7 +1,7 @@
 """Cycle-modeling RV32EC simulator with a memory-coupled Montgomery
 multiplication custom instruction (atomic and partial execution modes)."""
 
-from .encoding import capacity, decode_r4, encode_r4, layout_addresses
+from .encoding import capacity, decode_r4, encode_r4
 from .engine import (MmulEngine, MmulOperands, address_generate,
                      r2mm_reference)
 from .guests import FieldContext, build_guest
@@ -17,5 +17,5 @@ __all__ = [
     "MmulOperands", "PowerModel", "RegisterFile", "RunStats",
     "address_generate", "build_guest", "capacity", "decode", "decode_r4",
     "encode_r4", "estimate_energy", "expand_compressed",
-    "interrupt_latency_report", "layout_addresses", "r2mm_reference",
+    "interrupt_latency_report", "r2mm_reference",
 ]

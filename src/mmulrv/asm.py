@@ -1,41 +1,22 @@
 """Tiny in-package program builder for guest code.
 
 Emits 32-bit RV32E encodings (plus the MMUL custom instruction) into a flat
-code image with label fixups.  Not a general assembler: just enough for the
-benchmark kernels, with a text dump for eyeball cross-checks.
+code image with label fixups.  The format encoders and opcodes live in
+`encoding.py`; the emitter of every instruction in the decoder's tables
+(`isa._ALU`, `_BRANCH`, `_LOAD`, `_STORE`, `_CSR`, `_SYSTEM`) is derived
+from its table row, so this module writes no funct3 or funct7 value of
+its own.  Not a general assembler: just enough for the benchmark kernels,
+with a text dump for eyeball cross-checks.
 """
 
-from . import encoding
+import keyword
+
+from . import isa
+from .encoding import (OPCODE_JALR, OPCODE_LOAD, OPCODE_LUI, OPCODE_OP,
+                       OPCODE_OP_IMM, OPCODE_STORE, OPCODE_SYSTEM, encode_b,
+                       encode_i, encode_j, encode_r, encode_r4, encode_s,
+                       encode_u)
 from .errors import SimError
-
-
-def _enc_r(op, f3, f7, rd, rs1, rs2):
-    return (f7 << 25) | (rs2 << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | op
-
-
-def _enc_i(op, f3, rd, rs1, imm):
-    return ((imm & 0xFFF) << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | op
-
-
-def _enc_s(op, f3, rs1, rs2, imm):
-    return (((imm >> 5) & 0x7F) << 25) | (rs2 << 20) | (rs1 << 15) \
-        | (f3 << 12) | ((imm & 0x1F) << 7) | op
-
-
-def _enc_b(f3, rs1, rs2, imm):
-    return (((imm >> 12) & 1) << 31) | (((imm >> 5) & 0x3F) << 25) \
-        | (rs2 << 20) | (rs1 << 15) | (f3 << 12) \
-        | (((imm >> 1) & 0xF) << 8) | (((imm >> 11) & 1) << 7) | 0x63
-
-
-def _enc_u(op, rd, imm20):
-    return ((imm20 & 0xFFFFF) << 12) | (rd << 7) | op
-
-
-def _enc_j(rd, imm):
-    return (((imm >> 20) & 1) << 31) | (((imm >> 1) & 0x3FF) << 21) \
-        | (((imm >> 11) & 1) << 20) | (((imm >> 12) & 0xFF) << 12) \
-        | (rd << 7) | 0x6F
 
 
 class Asm:
@@ -60,105 +41,21 @@ class Asm:
         self.labels[name] = self.pc
         self.listing.append(f"{name}:")
 
-    # -- base instructions -------------------------------------------------
+    # -- outside the decoder's tables (the rest are added below) ----------
 
     def lui(self, rd, imm20):
-        self._emit(_enc_u(0x37, rd, imm20), f"lui x{rd}, 0x{imm20 & 0xFFFFF:x}")
-
-    def auipc(self, rd, imm20):
-        self._emit(_enc_u(0x17, rd, imm20), f"auipc x{rd}, 0x{imm20:x}")
-
-    def addi(self, rd, rs1, imm):
-        self._emit(_enc_i(0x13, 0, rd, rs1, imm), f"addi x{rd}, x{rs1}, {imm}")
-
-    def andi(self, rd, rs1, imm):
-        self._emit(_enc_i(0x13, 7, rd, rs1, imm), f"andi x{rd}, x{rs1}, {imm}")
-
-    def ori(self, rd, rs1, imm):
-        self._emit(_enc_i(0x13, 6, rd, rs1, imm), f"ori x{rd}, x{rs1}, {imm}")
-
-    def xori(self, rd, rs1, imm):
-        self._emit(_enc_i(0x13, 4, rd, rs1, imm), f"xori x{rd}, x{rs1}, {imm}")
-
-    def slli(self, rd, rs1, sh):
-        self._emit(_enc_i(0x13, 1, rd, rs1, sh), f"slli x{rd}, x{rs1}, {sh}")
-
-    def srli(self, rd, rs1, sh):
-        self._emit(_enc_i(0x13, 5, rd, rs1, sh), f"srli x{rd}, x{rs1}, {sh}")
-
-    def srai(self, rd, rs1, sh):
-        self._emit(_enc_i(0x13, 5, rd, rs1, 0x400 | sh),
-                   f"srai x{rd}, x{rs1}, {sh}")
-
-    def add(self, rd, rs1, rs2):
-        self._emit(_enc_r(0x33, 0, 0, rd, rs1, rs2),
-                   f"add x{rd}, x{rs1}, x{rs2}")
-
-    def sub(self, rd, rs1, rs2):
-        self._emit(_enc_r(0x33, 0, 0x20, rd, rs1, rs2),
-                   f"sub x{rd}, x{rs1}, x{rs2}")
-
-    def sltu(self, rd, rs1, rs2):
-        self._emit(_enc_r(0x33, 3, 0, rd, rs1, rs2),
-                   f"sltu x{rd}, x{rs1}, x{rs2}")
-
-    def or_(self, rd, rs1, rs2):
-        self._emit(_enc_r(0x33, 6, 0, rd, rs1, rs2),
-                   f"or x{rd}, x{rs1}, x{rs2}")
-
-    def xor(self, rd, rs1, rs2):
-        self._emit(_enc_r(0x33, 4, 0, rd, rs1, rs2),
-                   f"xor x{rd}, x{rs1}, x{rs2}")
-
-    def and_(self, rd, rs1, rs2):
-        self._emit(_enc_r(0x33, 7, 0, rd, rs1, rs2),
-                   f"and x{rd}, x{rs1}, x{rs2}")
-
-    def srl(self, rd, rs1, rs2):
-        self._emit(_enc_r(0x33, 5, 0, rd, rs1, rs2),
-                   f"srl x{rd}, x{rs1}, x{rs2}")
-
-    def sll(self, rd, rs1, rs2):
-        self._emit(_enc_r(0x33, 1, 0, rd, rs1, rs2),
-                   f"sll x{rd}, x{rs1}, x{rs2}")
-
-    def lw(self, rd, rs1, imm=0):
-        self._emit(_enc_i(0x03, 2, rd, rs1, imm), f"lw x{rd}, {imm}(x{rs1})")
-
-    def sw(self, rs2, rs1, imm=0):
-        self._emit(_enc_s(0x23, 2, rs1, rs2, imm), f"sw x{rs2}, {imm}(x{rs1})")
-
-    def ecall(self):
-        self._emit(0x00000073, "ecall")
-
-    def mret(self):
-        self._emit(0x30200073, "mret")
+        self._emit(encode_u(OPCODE_LUI, rd, imm20),
+                   f"lui x{rd}, 0x{imm20 & 0xFFFFF:x}")
 
     def jalr(self, rd, rs1, imm=0):
-        self._emit(_enc_i(0x67, 0, rd, rs1, imm), f"jalr x{rd}, x{rs1}, {imm}")
+        self._emit(encode_i(OPCODE_JALR, 0, rd, rs1, imm),
+                   f"jalr x{rd}, x{rs1}, {imm}")
 
     def ret(self):
         self.jalr(0, 1, 0)
 
-    # csr: f3 1=rw 2=rs 3=rc, +4 for immediate forms
-    def csrrw(self, rd, csr, rs1):
-        self._emit(_enc_i(0x73, 1, rd, rs1, csr),
-                   f"csrrw x{rd}, 0x{csr:03x}, x{rs1}")
-
-    def csrrs(self, rd, csr, rs1):
-        self._emit(_enc_i(0x73, 2, rd, rs1, csr),
-                   f"csrrs x{rd}, 0x{csr:03x}, x{rs1}")
-
-    def csrrc(self, rd, csr, rs1):
-        self._emit(_enc_i(0x73, 3, rd, rs1, csr),
-                   f"csrrc x{rd}, 0x{csr:03x}, x{rs1}")
-
-    def csrrwi(self, rd, csr, zimm):
-        self._emit(_enc_i(0x73, 5, rd, zimm, csr),
-                   f"csrrwi x{rd}, 0x{csr:03x}, {zimm}")
-
     def mmul(self, rd, rs1, rs2, rs3, words):
-        self._emit(encoding.encode_r4(rd, rs1, rs2, rs3, words),
+        self._emit(encode_r4(rd, rs1, rs2, rs3, words),
                    f"mmul x{rd}, x{rs1}, x{rs2}, x{rs3}, words={words}")
 
     # -- label-relative ----------------------------------------------------
@@ -169,22 +66,6 @@ class Asm:
 
     def j(self, label):
         self.jal(0, label)
-
-    def _branch(self, f3, rs1, rs2, label, text):
-        self.fixups.append((len(self.words), "b", label, rs1, rs2, f3))
-        self._emit(0, text)
-
-    def beq(self, rs1, rs2, label):
-        self._branch(0, rs1, rs2, label, f"beq x{rs1}, x{rs2}, {label}")
-
-    def bne(self, rs1, rs2, label):
-        self._branch(1, rs1, rs2, label, f"bne x{rs1}, x{rs2}, {label}")
-
-    def bltu(self, rs1, rs2, label):
-        self._branch(6, rs1, rs2, label, f"bltu x{rs1}, x{rs2}, {label}")
-
-    def bgeu(self, rs1, rs2, label):
-        self._branch(7, rs1, rs2, label, f"bgeu x{rs1}, x{rs2}, {label}")
 
     # -- pseudo-instructions ----------------------------------------------
 
@@ -219,13 +100,83 @@ class Asm:
                 rd = fix[3]
                 if not -(1 << 20) <= offset < (1 << 20):
                     raise SimError(f"jal offset {offset} out of range")
-                self.words[idx] = _enc_j(rd, offset)
+                self.words[idx] = encode_j(rd, offset)
             else:
                 rs1, rs2, f3 = fix[3], fix[4], fix[5]
                 if not -(1 << 12) <= offset < (1 << 12):
                     raise SimError(f"branch offset {offset} out of range")
-                self.words[idx] = _enc_b(f3, rs1, rs2, offset)
+                self.words[idx] = encode_b(f3, rs1, rs2, offset)
         return b"".join(w.to_bytes(4, "little") for w in self.words)
 
     def dump(self):
         return "\n".join(self.listing)
+
+
+# -- emitters derived from the decoder's tables, one per row ---------------
+
+def _alu(kind, f3, f7):
+    def emit(self, rd, rs1, rs2):
+        self._emit(encode_r(OPCODE_OP, f3, f7, rd, rs1, rs2),
+                   f"{kind} x{rd}, x{rs1}, x{rs2}")
+    return emit
+
+
+def _alu_imm(kind, f3, f7):  # a shift's funct7 sits in imm[11:5]
+    def emit(self, rd, rs1, imm):
+        self._emit(encode_i(OPCODE_OP_IMM, f3, rd, rs1, (f7 << 5) | imm),
+                   f"{kind} x{rd}, x{rs1}, {imm}")
+    return emit
+
+
+def _load(kind, f3):
+    def emit(self, rd, rs1, imm=0):
+        self._emit(encode_i(OPCODE_LOAD, f3, rd, rs1, imm),
+                   f"{kind} x{rd}, {imm}(x{rs1})")
+    return emit
+
+
+def _store(kind, f3):
+    def emit(self, rs2, rs1, imm=0):
+        self._emit(encode_s(OPCODE_STORE, f3, rs1, rs2, imm),
+                   f"{kind} x{rs2}, {imm}(x{rs1})")
+    return emit
+
+
+def _csr(kind, f3, imm_form):  # an immediate form's rs1 is its 5-bit zimm
+    def emit(self, rd, csr, rs1):
+        src = rs1 if imm_form else f"x{rs1}"
+        self._emit(encode_i(OPCODE_SYSTEM, f3, rd, rs1, csr),
+                   f"{kind} x{rd}, 0x{csr:03x}, {src}")
+    return emit
+
+
+def _system(kind, word):
+    def emit(self):
+        self._emit(word, kind)
+    return emit
+
+
+def _branch(kind, f3):
+    def emit(self, rs1, rs2, label):
+        self.fixups.append((len(self.words), "b", label, rs1, rs2, f3))
+        self._emit(0, f"{kind} x{rs1}, x{rs2}, {label}")
+    return emit
+
+
+def _install_table_emitters():
+    emitters = [(kind, _system(kind, word))
+                for word, kind in isa._SYSTEM.items()]
+    for (f3, f7), (reg, imm, _) in isa._ALU.items():
+        emitters.append((reg, _alu(reg, f3, f7)))
+        if imm:
+            emitters.append((imm, _alu_imm(imm, f3, f7)))
+    for table, make in ((isa._BRANCH, _branch), (isa._LOAD, _load),
+                        (isa._STORE, _store)):
+        emitters += [(kind, make(kind, f3)) for f3, (kind, _) in table.items()]
+    for f3, (kind, (_, imm_form)) in isa._CSR.items():
+        emitters.append((kind, _csr(kind, f3, imm_form)))
+    for kind, emit in emitters:
+        setattr(Asm, kind + "_" if keyword.iskeyword(kind) else kind, emit)
+
+
+_install_table_emitters()

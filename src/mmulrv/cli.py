@@ -329,6 +329,9 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        for option in ("words", "vectors"):  # below 1, nothing would run
+            if getattr(args, option, 1) < 1:
+                raise SimError(f"--{option} must be at least 1")
         return args.func(args)
     except SimError as exc:
         print(f"error: {exc}", file=sys.stderr)

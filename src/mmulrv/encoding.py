@@ -1,16 +1,51 @@
-"""Bit-exact encoder/decoder for the MMUL custom instruction.
+"""Bit layouts of the RV32 instruction formats: the one home of the
+major opcodes and of the R/I/S/B/U/J encoders (the assembler emits with
+them, and compressed units expand through them), plus the bit-exact
+encoder/decoder of the MMUL custom instruction.
 
-The executable format is R4-type on the custom-0 opcode.  I-type and R-type
-variants exist only analytically: `capacity` reports how large an operand each
-format could address, and `layout_addresses` documents the memory layout each
-one would impose.
+MMUL's executable format is R4-type on the custom-0 opcode.  I-type and
+R-type variants exist only analytically: `capacity` reports how large an
+operand each format could address.
 """
 
 from dataclasses import dataclass
 
 from .errors import NotMmul, RegisterOutOfRange, WordsOutOfRange
 
+# major opcodes of the base ISA
+OPCODE_LOAD, OPCODE_MISC_MEM, OPCODE_OP_IMM = 0x03, 0x0F, 0x13
+OPCODE_AUIPC, OPCODE_STORE, OPCODE_OP, OPCODE_LUI = 0x17, 0x23, 0x33, 0x37
+OPCODE_BRANCH, OPCODE_JALR, OPCODE_JAL, OPCODE_SYSTEM = 0x63, 0x67, 0x6F, 0x73
 OPCODE_CUSTOM0 = 0x0B  # 0b0001011, reserved custom-0 space
+
+
+def encode_r(op, f3, f7, rd, rs1, rs2):
+    return (f7 << 25) | (rs2 << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | op
+
+
+def encode_i(op, f3, rd, rs1, imm):
+    return ((imm & 0xFFF) << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | op
+
+
+def encode_s(op, f3, rs1, rs2, imm):
+    return (((imm >> 5) & 0x7F) << 25) | (rs2 << 20) | (rs1 << 15) \
+        | (f3 << 12) | ((imm & 0x1F) << 7) | op
+
+
+def encode_b(f3, rs1, rs2, imm):
+    return (((imm >> 12) & 1) << 31) | (((imm >> 5) & 0x3F) << 25) \
+        | (rs2 << 20) | (rs1 << 15) | (f3 << 12) \
+        | (((imm >> 1) & 0xF) << 8) | (((imm >> 11) & 1) << 7) | OPCODE_BRANCH
+
+
+def encode_u(op, rd, imm20):
+    return ((imm20 & 0xFFFFF) << 12) | (rd << 7) | op
+
+
+def encode_j(rd, imm):
+    return (((imm >> 20) & 1) << 31) | (((imm >> 1) & 0x3FF) << 21) \
+        | (((imm >> 11) & 1) << 20) | (((imm >> 12) & 0xFF) << 12) \
+        | (rd << 7) | OPCODE_JAL
 
 
 def encode_r4(rd, rs1, rs2, rs3, words):
@@ -25,11 +60,9 @@ def encode_r4(rd, rs1, rs2, rs3, words):
             raise RegisterOutOfRange(f"{name}=x{r} not valid under RV32E")
     if not 1 <= words <= 32:
         raise WordsOutOfRange(f"words={words} outside 1..32")
-    ln = words - 1
-    fnc2 = (ln >> 3) & 0x3
-    fnc3 = ln & 0x7
-    return (rs3 << 27) | (fnc2 << 25) | (rs2 << 20) | (rs1 << 15) \
-        | (fnc3 << 12) | (rd << 7) | OPCODE_CUSTOM0
+    ln = words - 1  # R-type with funct7 = rs3:fnc2
+    return encode_r(OPCODE_CUSTOM0, ln & 0x7, (rs3 << 2) | (ln >> 3),
+                    rd, rs1, rs2)
 
 
 def decode_r4(word):
@@ -78,37 +111,8 @@ def capacity(fmt, xlen=32):
     return FormatCapacity(fmt, bits, unit, max_bits)
 
 
-def layout_addresses(fmt, words=None, base=None, rs1=None, rs2=None,
-                     rs3=None, rd=None):
-    """Operand addresses {A, B, N, P} each format implies.
-
-    I-type packs all four at consecutive word-array offsets from one base;
-    R-type keeps A/B/P together but lets the modulus float (rs2); R4-type
-    carries four independent addresses.
-    """
-    mask = 0xFFFFFFFF
-    if fmt == "I":
-        stride = 4 * words
-        return {"addr_a": base & mask,
-                "addr_b": (base + stride) & mask,
-                "addr_n": (base + 2 * stride) & mask,
-                "addr_p": (base + 3 * stride) & mask}
-    if fmt == "R":
-        stride = 4 * words
-        return {"addr_a": rs1 & mask,
-                "addr_b": (rs1 + stride) & mask,
-                "addr_p": (rs1 + 2 * stride) & mask,
-                "addr_n": rs2 & mask}
-    if fmt == "R4":
-        return {"addr_a": rs1 & mask, "addr_b": rs2 & mask,
-                "addr_n": rs3 & mask, "addr_p": rd & mask}
-    raise ValueError(f"unknown format {fmt!r}")
-
-
 def insn_directive(rd, rs1, rs2, rs3, words):
     """GCC `.insn r4` directive text for an encoding (external cross-check)."""
-    ln = words - 1
-    fnc2 = (ln >> 3) & 0x3
-    fnc3 = ln & 0x7
-    return (f".insn r4 0x{OPCODE_CUSTOM0:02x}, {fnc3}, {fnc2}, "
-            f"x{rd}, x{rs1}, x{rs2}, x{rs3}")
+    word = encode_r4(rd, rs1, rs2, rs3, words)
+    return (f".insn r4 0x{OPCODE_CUSTOM0:02x}, {(word >> 12) & 0x7}, "
+            f"{(word >> 25) & 0x3}, x{rd}, x{rs1}, x{rs2}, x{rs3}")

@@ -318,17 +318,13 @@ def emit_cswap(a, dl, ctx):
 # drivers
 # ---------------------------------------------------------------------------
 
-def _call_montmul(a, dl, sym_a, sym_b, sym_p, sym_n="modulus"):
+def _call(a, dl, sym_a, sym_b, sym_p, target="montmul", sym_n="modulus"):
+    """Call `target` with the addresses of A, B and P in x10, x11 and x13,
+    and of N in x12 when given a modulus symbol."""
     a.li(10, dl.addr(sym_a))
     a.li(11, dl.addr(sym_b))
-    a.li(12, dl.addr(sym_n))
-    a.li(13, dl.addr(sym_p))
-    a.jal(1, "montmul")
-
-
-def _call2(a, dl, target, sym_a, sym_b, sym_p):
-    a.li(10, dl.addr(sym_a))
-    a.li(11, dl.addr(sym_b))
+    if sym_n:
+        a.li(12, dl.addr(sym_n))
     a.li(13, dl.addr(sym_p))
     a.jal(1, target)
 
@@ -400,8 +396,8 @@ def emit_modexp(ctx, exponent_bits, base, exponent, config,
 
     a = Asm(base=CODE_BASE)
     _prologue(a, dl, config, with_irq_harness)
-    _call_montmul(a, dl, "one", "r2", "acc")          # acc = R mod N
-    _call_montmul(a, dl, "base", "r2", "base_mont")   # to Montgomery domain
+    _call(a, dl, "one", "r2", "acc")          # acc = R mod N
+    _call(a, dl, "base", "r2", "base_mont")   # to Montgomery domain
     a.li(5, dl.addr("idx"))
     a.li(6, exponent_bits)
     a.sw(6, 5, 0)
@@ -410,7 +406,7 @@ def emit_modexp(ctx, exponent_bits, base, exponent, config,
     a.lw(6, 5, 0)
     a.addi(6, 6, -1)
     a.sw(6, 5, 0)
-    _call_montmul(a, dl, "acc", "acc", "acc")         # square
+    _call(a, dl, "acc", "acc", "acc")         # square
     a.li(5, dl.addr("idx"))
     a.lw(6, 5, 0)
     a.li(5, dl.addr("exponent"))
@@ -418,12 +414,12 @@ def emit_modexp(ctx, exponent_bits, base, exponent, config,
     a.srl(5, 5, 6)
     a.andi(5, 5, 1)
     a.beq(5, 0, "mx_skip")
-    _call_montmul(a, dl, "acc", "base_mont", "acc")   # multiply
+    _call(a, dl, "acc", "base_mont", "acc")   # multiply
     a.label("mx_skip")
     a.li(5, dl.addr("idx"))
     a.lw(6, 5, 0)
     a.bne(6, 0, "mx_loop")
-    _call_montmul(a, dl, "acc", "one", "result")      # leave the domain
+    _call(a, dl, "acc", "one", "result")      # leave the domain
     _halt(a)
     emit_montmul_subroutine(a, dl, ctx, config)
 
@@ -471,11 +467,11 @@ def emit_ladder_x25519_field(scalar, u, config, scalar_bits=None,
 
     a = Asm(base=CODE_BASE)
     _prologue(a, dl, config)
-    _call_montmul(a, dl, "u", "r2", "x1_mont")
-    _call_montmul(a, dl, "one", "r2", "lad_x2")   # x2 = 1 (domain)
-    _call_montmul(a, dl, "u", "r2", "lad_x3")     # x3 = u (domain)
-    _call_montmul(a, dl, "one", "r2", "lad_z3")   # z3 = 1 (domain)
-    _call_montmul(a, dl, "a24", "r2", "a24_mont")
+    _call(a, dl, "u", "r2", "x1_mont")
+    _call(a, dl, "one", "r2", "lad_x2")   # x2 = 1 (domain)
+    _call(a, dl, "u", "r2", "lad_x3")     # x3 = u (domain)
+    _call(a, dl, "one", "r2", "lad_z3")   # z3 = 1 (domain)
+    _call(a, dl, "a24", "r2", "a24_mont")
     a.li(5, dl.addr("idx"))
     a.li(6, scalar_bits)
     a.sw(6, 5, 0)
@@ -495,32 +491,32 @@ def emit_ladder_x25519_field(scalar, u, config, scalar_bits=None,
     a.sw(5, 6, 0)
     a.mv(10, 7)
     a.jal(1, "cswap")
-    _call2(a, dl, "fadd", "lad_x2", "lad_z2", "t_a")
-    _call_montmul(a, dl, "t_a", "t_a", "t_aa")
-    _call2(a, dl, "fsub", "lad_x2", "lad_z2", "t_b")
-    _call_montmul(a, dl, "t_b", "t_b", "t_bb")
-    _call2(a, dl, "fsub", "t_aa", "t_bb", "t_e")
-    _call2(a, dl, "fadd", "lad_x3", "lad_z3", "t_c")
-    _call2(a, dl, "fsub", "lad_x3", "lad_z3", "t_d")
-    _call_montmul(a, dl, "t_d", "t_a", "t_da")
-    _call_montmul(a, dl, "t_c", "t_b", "t_cb")
-    _call2(a, dl, "fadd", "t_da", "t_cb", "t_0")
-    _call_montmul(a, dl, "t_0", "t_0", "lad_x3")
-    _call2(a, dl, "fsub", "t_da", "t_cb", "t_1")
-    _call_montmul(a, dl, "t_1", "t_1", "t_1")
-    _call_montmul(a, dl, "x1_mont", "t_1", "lad_z3")
-    _call_montmul(a, dl, "t_aa", "t_bb", "lad_x2")
-    _call_montmul(a, dl, "a24_mont", "t_e", "t_0")
-    _call2(a, dl, "fadd", "t_aa", "t_0", "t_0")
-    _call_montmul(a, dl, "t_e", "t_0", "lad_z2")
+    _call(a, dl, "lad_x2", "lad_z2", "t_a", target="fadd", sym_n=None)
+    _call(a, dl, "t_a", "t_a", "t_aa")
+    _call(a, dl, "lad_x2", "lad_z2", "t_b", target="fsub", sym_n=None)
+    _call(a, dl, "t_b", "t_b", "t_bb")
+    _call(a, dl, "t_aa", "t_bb", "t_e", target="fsub", sym_n=None)
+    _call(a, dl, "lad_x3", "lad_z3", "t_c", target="fadd", sym_n=None)
+    _call(a, dl, "lad_x3", "lad_z3", "t_d", target="fsub", sym_n=None)
+    _call(a, dl, "t_d", "t_a", "t_da")
+    _call(a, dl, "t_c", "t_b", "t_cb")
+    _call(a, dl, "t_da", "t_cb", "t_0", target="fadd", sym_n=None)
+    _call(a, dl, "t_0", "t_0", "lad_x3")
+    _call(a, dl, "t_da", "t_cb", "t_1", target="fsub", sym_n=None)
+    _call(a, dl, "t_1", "t_1", "t_1")
+    _call(a, dl, "x1_mont", "t_1", "lad_z3")
+    _call(a, dl, "t_aa", "t_bb", "lad_x2")
+    _call(a, dl, "a24_mont", "t_e", "t_0")
+    _call(a, dl, "t_aa", "t_0", "t_0", target="fadd", sym_n=None)
+    _call(a, dl, "t_e", "t_0", "lad_z2")
     a.li(5, dl.addr("idx"))
     a.lw(6, 5, 0)
     a.bne(6, 0, "ld_loop")
     a.li(6, dl.addr("swapv"))
     a.lw(10, 6, 0)
     a.jal(1, "cswap")
-    _call_montmul(a, dl, "lad_x2", "one", "out_x")
-    _call_montmul(a, dl, "lad_z2", "one", "out_z")
+    _call(a, dl, "lad_x2", "one", "out_x")
+    _call(a, dl, "lad_z2", "one", "out_z")
     _halt(a)
     emit_montmul_subroutine(a, dl, ctx, config)
     emit_field_add(a, dl, ctx)
@@ -581,7 +577,7 @@ def emit_single_montmul(ctx, a_val, b_val, config, with_irq_harness=False,
     dl.alloc("result", W)
     a = Asm(base=CODE_BASE)
     _prologue(a, dl, config, with_irq_harness)
-    _call_montmul(a, dl, "op_a", "op_b", "result")
+    _call(a, dl, "op_a", "op_b", "result")
     _halt(a)
     emit_montmul_subroutine(a, dl, ctx, config)
     return _program(

@@ -1,5 +1,11 @@
 """RV32E + C-extension decode and execution with a 2-stage timing model.
 
+A compressed unit is expanded to the 32-bit word the RVC spec defines for
+it, built with the format encoders of `encoding.py`, and decoded as that
+word; only its length (2) differs.  The decoder reads the per-class tables
+below, the executor table is built from them, and the assembler derives
+its emitters from them.
+
 Timing: 1 cycle per retired instruction (covers a single-cycle fetch),
 +1 cycle per taken control transfer, plus memory wait-states beyond the
 first cycle for fetch and data accesses.  MMUL engine occupancy is added
@@ -13,7 +19,11 @@ from contextlib import suppress
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import encoding
+from .encoding import (OPCODE_AUIPC, OPCODE_BRANCH, OPCODE_CUSTOM0, OPCODE_JAL,
+                       OPCODE_JALR, OPCODE_LOAD, OPCODE_LUI, OPCODE_MISC_MEM,
+                       OPCODE_OP, OPCODE_OP_IMM, OPCODE_STORE, OPCODE_SYSTEM,
+                       decode_r4, encode_b, encode_i, encode_j, encode_r,
+                       encode_s, encode_u)
 from .engine import MmulOperands
 from .errors import IllegalInstruction, SequenceBroken, SimError
 from .machine import (CAUSE_MEXT_IRQ, M32, MCAUSE, MEPC, MMUL_MODE, MSTATUS,
@@ -22,7 +32,7 @@ from .machine import (CAUSE_MEXT_IRQ, M32, MCAUSE, MEPC, MMUL_MODE, MSTATUS,
 
 class DecodedInstruction:
     __slots__ = ("kind", "rd", "rs1", "rs2", "rs3", "imm", "words",
-                 "csr", "compressed", "length")
+                 "csr", "length")
 
     def __init__(self, kind, rd=0, rs1=0, rs2=0, rs3=0, imm=0, words=0,
                  csr=0):
@@ -34,8 +44,7 @@ class DecodedInstruction:
         self.imm = imm
         self.words = words
         self.csr = csr
-        self.compressed = False
-        self.length = 4
+        self.length = 4  # 2 for a compressed unit
 
     def __repr__(self):
         return (f"DecodedInstruction({self.kind}, rd={self.rd}, "
@@ -98,47 +107,47 @@ def decode32(w):
     rs2 = (w >> 20) & 0x1F
     f7 = (w >> 25) & 0x7F
 
-    if op == 0x37 or op == 0x17:
+    if op == OPCODE_LUI or op == OPCODE_AUIPC:
         _chk_reg(rd)
-        return DecodedInstruction("lui" if op == 0x37 else "auipc", rd=rd,
-                                  imm=_sext(w & 0xFFFFF000, 32))
-    if op == 0x6F:  # jal
+        return DecodedInstruction("lui" if op == OPCODE_LUI else "auipc",
+                                  rd=rd, imm=_sext(w & 0xFFFFF000, 32))
+    if op == OPCODE_JAL:
         _chk_reg(rd)
         imm = (((w >> 31) & 1) << 20) | (((w >> 21) & 0x3FF) << 1) \
             | (((w >> 20) & 1) << 11) | (((w >> 12) & 0xFF) << 12)
         return DecodedInstruction("jal", rd=rd, imm=_sext(imm, 21))
-    if op == 0x67 and f3 == 0:  # jalr
+    if op == OPCODE_JALR and f3 == 0:
         _chk_reg(rd, rs1)
         return DecodedInstruction("jalr", rd=rd, rs1=rs1,
                                   imm=_sext(w >> 20, 12))
-    if op == 0x63:
+    if op == OPCODE_BRANCH:
         kind = _lookup(_BRANCH, f3, f"branch funct3={f3}")[0]
         _chk_reg(rs1, rs2)
         imm = (((w >> 31) & 1) << 12) | (((w >> 25) & 0x3F) << 5) \
             | (((w >> 8) & 0xF) << 1) | (((w >> 7) & 1) << 11)
         return DecodedInstruction(kind, rs1=rs1, rs2=rs2, imm=_sext(imm, 13))
-    if op == 0x03:
+    if op == OPCODE_LOAD:
         kind = _lookup(_LOAD, f3, f"load funct3={f3}")[0]
         _chk_reg(rd, rs1)
         return DecodedInstruction(kind, rd=rd, rs1=rs1, imm=_sext(w >> 20, 12))
-    if op == 0x23:
+    if op == OPCODE_STORE:
         kind = _lookup(_STORE, f3, f"store funct3={f3}")[0]
         _chk_reg(rs1, rs2)
         imm = ((w >> 25) << 5) | rd
         return DecodedInstruction(kind, rs1=rs1, rs2=rs2, imm=_sext(imm, 12))
-    if op == 0x13:
+    if op == OPCODE_OP_IMM:
         _chk_reg(rd, rs1)
         shift = f3 == 1 or f3 == 5  # funct7 selects the shift, rs2 its amount
         kind = _lookup(_ALU, (f3, f7 if shift else 0), "shift funct7")[1]
         return DecodedInstruction(kind, rd=rd, rs1=rs1,
                                   imm=rs2 if shift else _sext(w >> 20, 12))
-    if op == 0x33:
+    if op == OPCODE_OP:
         kind = _lookup(_ALU, (f3, f7), f"op funct3={f3} funct7={f7:#x}")[0]
         _chk_reg(rd, rs1, rs2)
         return DecodedInstruction(kind, rd=rd, rs1=rs1, rs2=rs2)
-    if op == 0x0F:  # fence / fence.i: no-op in this model
+    if op == OPCODE_MISC_MEM:  # fence / fence.i: no-op in this model
         return DecodedInstruction("fence")
-    if op == 0x73:
+    if op == OPCODE_SYSTEM:
         if f3 == 0:
             kind = _lookup(_SYSTEM, w, f"system 0x{w:08x}")
             return DecodedInstruction(kind)
@@ -147,9 +156,9 @@ def decode32(w):
         if f3 < 4:
             _chk_reg(rs1)
         return DecodedInstruction(kind, rd=rd, rs1=rs1, csr=(w >> 20) & 0xFFF)
-    if op == encoding.OPCODE_CUSTOM0:
+    if op == OPCODE_CUSTOM0:
         try:
-            f = encoding.decode_r4(w)
+            f = decode_r4(w)
         except SimError as exc:
             raise IllegalInstruction(str(exc)) from exc
         return DecodedInstruction("mmul", rd=f["rd"], rs1=f["rs1"],
@@ -158,12 +167,10 @@ def decode32(w):
     raise IllegalInstruction(f"opcode 0x{op:02x}")
 
 
-def _creg(bits):
-    return 8 + (bits & 7)
-
-
 def expand_compressed(h):
-    """Expand a 16-bit compressed instruction into its full-length form."""
+    """The 32-bit instruction word the RVC spec defines for the 16-bit
+    unit `h`.  A reserved encoding raises IllegalInstruction here; the
+    RV32E register limit is left to decode32."""
     h &= 0xFFFF
     if h == 0:
         raise IllegalInstruction("all-zero compressed encoding")
@@ -171,129 +178,100 @@ def expand_compressed(h):
     if q == 3:
         raise IllegalInstruction("not a compressed encoding")
     f3 = (h >> 13) & 7
-    d = _expand(q, f3, h)
-    d.compressed = True
-    d.length = 2
-    return d
-
-
-def _expand(q, f3, h):
+    bit12 = (h >> 12) & 1
+    r = (h >> 7) & 0x1F  # rd / rs1 of the full-register forms
+    rs2 = (h >> 2) & 0x1F
+    rp, rs2p = 8 + ((h >> 7) & 7), 8 + ((h >> 2) & 7)  # the x8..x15 forms
+    imm6 = _sext((bit12 << 5) | rs2, 6)
     if q == 0:
-        if f3 == 0:  # c.addi4spn
+        if f3 == 0:  # c.addi4spn: addi rd', x2, nzuimm
             imm = (((h >> 5) & 1) << 3) | (((h >> 6) & 1) << 2) \
                 | (((h >> 7) & 0xF) << 6) | (((h >> 11) & 3) << 4)
             if imm == 0:
                 raise IllegalInstruction("c.addi4spn with zero immediate")
-            return DecodedInstruction("addi", rd=_creg(h >> 2), rs1=2, imm=imm)
+            return encode_i(OPCODE_OP_IMM, 0, rs2p, 2, imm)
         if f3 != 2 and f3 != 6:
             raise IllegalInstruction(f"compressed q0 funct3={f3}")
         imm = (((h >> 10) & 7) << 3) | (((h >> 6) & 1) << 2) \
             | (((h >> 5) & 1) << 6)
-        if f3 == 2:  # c.lw
-            return DecodedInstruction("lw", rd=_creg(h >> 2),
-                                      rs1=_creg(h >> 7), imm=imm)
-        return DecodedInstruction("sw", rs1=_creg(h >> 7),  # c.sw
-                                  rs2=_creg(h >> 2), imm=imm)
+        if f3 == 2:  # c.lw: lw rd', imm(rs1')
+            return encode_i(OPCODE_LOAD, 2, rs2p, rp, imm)
+        return encode_s(OPCODE_STORE, 2, rp, rs2p, imm)  # c.sw
     if q == 1:
-        imm6 = _sext((((h >> 12) & 1) << 5) | ((h >> 2) & 0x1F), 6)
-        rd = (h >> 7) & 0x1F
-        if f3 == 0:  # c.addi / c.nop
-            _chk_reg(rd)
-            return DecodedInstruction("addi", rd=rd, rs1=rd, imm=imm6)
-        if f3 == 1:  # c.jal (RV32)
-            return DecodedInstruction("jal", rd=1, imm=_cj_imm(h))
-        if f3 == 2:  # c.li
-            _chk_reg(rd)
-            return DecodedInstruction("addi", rd=rd, rs1=0, imm=imm6)
+        # c.addi: addi rd, rd, imm (x0: c.nop); c.li: addi rd, x0, imm
+        if f3 == 0 or f3 == 2:
+            return encode_i(OPCODE_OP_IMM, 0, r, r if f3 == 0 else 0, imm6)
+        if f3 == 1 or f3 == 5:  # c.jal (RV32): jal x1; c.j: jal x0
+            imm = (bit12 << 11) | (((h >> 11) & 1) << 4) \
+                | (((h >> 9) & 3) << 8) | (((h >> 8) & 1) << 10) \
+                | (((h >> 7) & 1) << 6) | (((h >> 6) & 1) << 7) \
+                | (((h >> 3) & 7) << 1) | (((h >> 2) & 1) << 5)
+            return encode_j(int(f3 == 1), _sext(imm, 12))
         if f3 == 3:
-            if rd == 2:  # c.addi16sp
-                imm = (((h >> 12) & 1) << 9) | (((h >> 3) & 3) << 7) \
+            if r == 2:  # c.addi16sp: addi x2, x2, nzimm
+                imm = (bit12 << 9) | (((h >> 3) & 3) << 7) \
                     | (((h >> 5) & 1) << 6) | (((h >> 2) & 1) << 5) \
                     | (((h >> 6) & 1) << 4)
-                imm = _sext(imm, 10)
                 if imm == 0:
                     raise IllegalInstruction("c.addi16sp zero immediate")
-                return DecodedInstruction("addi", rd=2, rs1=2, imm=imm)
-            if rd != 0:  # c.lui
-                _chk_reg(rd)
-                if imm6 == 0:
-                    raise IllegalInstruction("c.lui zero immediate")
-                return DecodedInstruction("lui", rd=rd, imm=imm6 << 12)
-            raise IllegalInstruction("c.lui rd=x0")
+                return encode_i(OPCODE_OP_IMM, 0, 2, 2, _sext(imm, 10))
+            if r == 0:
+                raise IllegalInstruction("c.lui rd=x0")
+            if imm6 == 0:
+                raise IllegalInstruction("c.lui zero immediate")
+            return encode_u(OPCODE_LUI, r, imm6)  # c.lui
         if f3 == 4:
             sub = (h >> 10) & 3
-            rdp = _creg(h >> 7)
-            if sub == 0 or sub == 1:
-                shamt = (((h >> 12) & 1) << 5) | ((h >> 2) & 0x1F)
-                if shamt >= 32:
+            if sub < 2:  # c.srli, c.srai: imm[10] selects srai
+                if bit12:
                     raise IllegalInstruction("compressed shift shamt[5]=1")
-                kind = "srli" if sub == 0 else "srai"
-                return DecodedInstruction(kind, rd=rdp, rs1=rdp, imm=shamt)
-            if sub == 2:
-                return DecodedInstruction("andi", rd=rdp, rs1=rdp, imm=imm6)
-            if (h >> 12) & 1:
+                return encode_i(OPCODE_OP_IMM, 5, rp, rp, (sub << 10) | rs2)
+            if sub == 2:  # c.andi
+                return encode_i(OPCODE_OP_IMM, 7, rp, rp, imm6)
+            if bit12:
                 raise IllegalInstruction("reserved compressed q1 encoding")
-            kind = ("sub", "xor", "or", "and")[(h >> 5) & 3]
-            return DecodedInstruction(kind, rd=rdp, rs1=rdp, rs2=_creg(h >> 2))
-        if f3 == 5:  # c.j
-            return DecodedInstruction("jal", rd=0, imm=_cj_imm(h))
-        kind = "beq" if f3 == 6 else "bne"  # c.beqz / c.bnez
-        imm = (((h >> 12) & 1) << 8) | (((h >> 10) & 3) << 3) \
+            # c.sub, c.xor, c.or, c.and: op rd', rd', rs2'
+            funct = ((0, 0x20), (4, 0), (6, 0), (7, 0))[(h >> 5) & 3]
+            return encode_r(OPCODE_OP, *funct, rp, rp, rs2p)
+        # c.beqz, c.bnez: beq (funct3 0), bne (funct3 1) rs1', x0
+        imm = (bit12 << 8) | (((h >> 10) & 3) << 3) \
             | (((h >> 5) & 3) << 6) | (((h >> 3) & 3) << 1) \
             | (((h >> 2) & 1) << 5)
-        return DecodedInstruction(kind, rs1=_creg(h >> 7), rs2=0,
-                                  imm=_sext(imm, 9))
+        return encode_b(f3 - 6, rp, 0, _sext(imm, 9))
     # q == 2
-    rd = (h >> 7) & 0x1F
-    rs2 = (h >> 2) & 0x1F
     if f3 == 0:  # c.slli
-        _chk_reg(rd)
-        shamt = (((h >> 12) & 1) << 5) | rs2
-        if shamt >= 32:
+        if bit12:
             raise IllegalInstruction("compressed shift shamt[5]=1")
-        return DecodedInstruction("slli", rd=rd, rs1=rd, imm=shamt)
-    if f3 == 2:  # c.lwsp
-        if rd == 0:
+        return encode_i(OPCODE_OP_IMM, 1, r, r, rs2)
+    if f3 == 2:  # c.lwsp: lw rd, imm(x2)
+        if r == 0:
             raise IllegalInstruction("c.lwsp rd=x0")
-        _chk_reg(rd)
-        imm = (((h >> 12) & 1) << 5) | (((h >> 4) & 7) << 2) \
-            | (((h >> 2) & 3) << 6)
-        return DecodedInstruction("lw", rd=rd, rs1=2, imm=imm)
+        imm = (bit12 << 5) | (((h >> 4) & 7) << 2) | (((h >> 2) & 3) << 6)
+        return encode_i(OPCODE_LOAD, 2, r, 2, imm)
     if f3 == 4:
-        _chk_reg(rd, rs2)
-        if (h >> 12) & 1 == 0:
-            if rs2 == 0:  # c.jr
-                if rd == 0:
-                    raise IllegalInstruction("c.jr rs1=x0")
-                return DecodedInstruction("jalr", rd=0, rs1=rd, imm=0)
-            return DecodedInstruction("add", rd=rd, rs1=0, rs2=rs2)  # c.mv
-        if rd == 0 and rs2 == 0:
-            return DecodedInstruction("ebreak")
-        if rs2 == 0:  # c.jalr
-            return DecodedInstruction("jalr", rd=1, rs1=rd, imm=0)
-        return DecodedInstruction("add", rd=rd, rs1=rd, rs2=rs2)  # c.add
-    if f3 == 6:  # c.swsp
-        _chk_reg(rs2)
+        if rs2:  # c.mv: add rd, x0, rs2; c.add: add rd, rd, rs2
+            return encode_r(OPCODE_OP, 0, 0, r, r if bit12 else 0, rs2)
+        if r:  # c.jr: jalr x0, 0(rs1); c.jalr: jalr x1, 0(rs1)
+            return encode_i(OPCODE_JALR, 0, bit12, r, 0)
+        if bit12:
+            return encode_i(OPCODE_SYSTEM, 0, 0, 0, 1)  # c.ebreak: ebreak
+        raise IllegalInstruction("c.jr rs1=x0")
+    if f3 == 6:  # c.swsp: sw rs2, imm(x2)
         imm = (((h >> 9) & 0xF) << 2) | (((h >> 7) & 3) << 6)
-        return DecodedInstruction("sw", rs1=2, rs2=rs2, imm=imm)
+        return encode_s(OPCODE_STORE, 2, 2, rs2, imm)
     raise IllegalInstruction(f"compressed q2 funct3={f3}")
-
-
-def _cj_imm(h):
-    imm = (((h >> 12) & 1) << 11) | (((h >> 11) & 1) << 4) \
-        | (((h >> 9) & 3) << 8) | (((h >> 8) & 1) << 10) \
-        | (((h >> 7) & 1) << 6) | (((h >> 6) & 1) << 7) \
-        | (((h >> 3) & 7) << 1) | (((h >> 2) & 1) << 5)
-    return _sext(imm, 12)
 
 
 @lru_cache(maxsize=1 << 16)
 def decode(fetch_unit):
-    """Decode a 32-bit fetch unit; the low 16 bits select compressed
-    expansion.  Pure function, so results are cached by raw value."""
-    if fetch_unit & 3 != 3:
-        return expand_compressed(fetch_unit & 0xFFFF)
-    return decode32(fetch_unit)
+    """Decode a 32-bit fetch unit.  When its low 16 bits are a compressed
+    unit, decode that unit's 32-bit expansion with length 2.  Pure
+    function, so results are cached by raw value."""
+    if fetch_unit & 3 == 3:
+        return decode32(fetch_unit)
+    d = decode32(expand_compressed(fetch_unit & 0xFFFF))
+    d.length = 2
+    return d
 
 
 class StepReport(NamedTuple):

@@ -176,14 +176,23 @@ def test_malformed_number_is_a_usage_error(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+RUN_ONCE = ["run", "--guest", "montmul_once"]
+
+
 @pytest.mark.parametrize("argv,message", [
-    (["--read-latency", "-1"], "latencies must be non-negative"),
-    (["--write-latency", "-2"], "latencies must be non-negative"),
-    (["--set", "foo=1"], "montmul_once has no input foo; its inputs are "
-                         "modulus, words, a, b, irq"),
-], ids=["read-latency", "write-latency", "set-name"])
+    (RUN_ONCE + ["--read-latency", "-1"], "latencies must be non-negative"),
+    (RUN_ONCE + ["--write-latency", "-2"], "latencies must be non-negative"),
+    (RUN_ONCE + ["--set", "foo=1"], "montmul_once has no input foo; its "
+                                    "inputs are modulus, words, a, b, irq"),
+    (RUN_ONCE + ["--config", "CI-AE", "--words", "-3"],
+     "--words must be at least 1"),
+    (["selftest", "--words", "0", "--vectors", "2"],
+     "--words must be at least 1"),
+    (["selftest", "--vectors", "0"], "--vectors must be at least 1"),
+], ids=["read-latency", "write-latency", "set-name", "run-words",
+        "selftest-words", "selftest-vectors"])
 def test_bad_machine_or_guest_input_is_a_usage_error(capsys, argv, message):
-    assert main(["run", "--guest", "montmul_once", *argv]) == EXIT_ERROR
+    assert main(argv) == EXIT_ERROR
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

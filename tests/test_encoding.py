@@ -69,26 +69,6 @@ def test_capacity(fmt, xlen, bits, unit, max_bits):
     assert cap.max_operand_bits == (1 << cap.length_bits_available) * scale
 
 
-def test_layout_i_type():
-    assert encoding.layout_addresses("I", base=0x1000, words=4) == {
-        "addr_a": 0x1000, "addr_b": 0x1010,
-        "addr_n": 0x1020, "addr_p": 0x1030}
-
-
-def test_layout_r_type():
-    assert encoding.layout_addresses("R", rs1=0x1000, rs2=0x2000,
-                                     words=1) == {
-        "addr_a": 0x1000, "addr_b": 0x1004,
-        "addr_p": 0x1008, "addr_n": 0x2000}
-
-
-def test_layout_r4_identity():
-    assert encoding.layout_addresses("R4", rs1=0x100, rs2=0x200,
-                                     rs3=0x300, rd=0x400) == {
-        "addr_a": 0x100, "addr_b": 0x200,
-        "addr_n": 0x300, "addr_p": 0x400}
-
-
 def test_mmul_decodes_as_mmul_only():
     # the custom-0 opcode never collides with any standard encoding
     word = encoding.encode_r4(3, 4, 5, 6, 2)

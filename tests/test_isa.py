@@ -1,3 +1,6 @@
+import inspect
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +10,7 @@ from mmulrv import isa
 from mmulrv.asm import Asm
 from mmulrv.errors import IllegalInstruction
 from mmulrv.isa import Cpu, decode
-from mmulrv.machine import DEFAULT_MEM_SIZE, MEPC, MIE, MSTATUS, MTVEC
+from mmulrv.machine import DEFAULT_MEM_SIZE, M32, MEPC, MIE, MSTATUS, MTVEC
 
 
 def _load(machine, blob, base=0):
@@ -42,7 +45,7 @@ def test_decode32_vectors(word, expect):
     kind, rd, rs1, rs2, imm = expect
     d = decode(word)
     assert (d.kind, d.rd, d.rs1, d.rs2, d.imm) == (kind, rd, rs1, rs2, imm)
-    assert not d.compressed and d.length == 4
+    assert d.length == 4
 
 
 def test_decode_store():
@@ -95,7 +98,7 @@ def test_compressed_vectors(half, expect):
     kind, rd, rs1, rs2, imm = expect
     d = decode(half)
     assert (d.kind, d.rd, d.rs1, d.rs2, d.imm) == (kind, rd, rs1, rs2, imm)
-    assert d.compressed and d.length == 2
+    assert d.length == 2
 
 
 def test_compressed_all_zero_is_illegal():
@@ -103,23 +106,110 @@ def test_compressed_all_zero_is_illegal():
         isa.expand_compressed(0)
 
 
+# one unit per compressed form, each expansion written by hand from the
+# RVC spec; registers start as x2 = 0x10000, x9 = 5, x10 = 7,
+# x11 = 0x10040, x12 = 3, and the word at 0x10040 holds 0x1234
 @pytest.mark.parametrize("half,full", [
     (0x0505, 0x00150513),  # c.addi a0,1       == addi x10, x10, 1
     (0x852E, 0x00B00533),  # c.mv a0,a1        == add x10, x0, x11
     (0x4188, 0x0005A503),  # c.lw a0,0(a1)     == lw x10, 0(x11)
     (0xC188, 0x00A5A023),  # c.sw a0,0(a1)     == sw x10, 0(x11)
+    (0x0804, 0x01010493),  # c.addi4spn s1,16  == addi x9, x2, 16
+    (0x2021, 0x008000EF),  # c.jal +8          == jal x1, 8
+    (0x5675, 0xFFD00613),  # c.li a2,-3        == addi x12, x0, -3
+    (0x713D, 0xFE010113),  # c.addi16sp -32    == addi x2, x2, -32
+    (0x7681, 0xFFFE06B7),  # c.lui a3,0xfffe0  == lui x13, 0xfffe0
+    (0x810D, 0x00355513),  # c.srli a0,3       == srli x10, x10, 3
+    (0x8511, 0x40455513),  # c.srai a0,4       == srai x10, x10, 4
+    (0x99F9, 0xFFE5F593),  # c.andi a1,-2      == andi x11, x11, -2
+    (0x8D11, 0x40C50533),  # c.sub a0,a2       == sub x10, x10, x12
+    (0x8D31, 0x00C54533),  # c.xor a0,a2       == xor x10, x10, x12
+    (0x8D51, 0x00C56533),  # c.or a0,a2        == or x10, x10, x12
+    (0x8D71, 0x00C57533),  # c.and a0,a2       == and x10, x10, x12
+    (0xBFF5, 0xFFDFF06F),  # c.j -4            == jal x0, -4
+    (0xC411, 0x00040663),  # c.beqz s0,+12     == beq x8, x0, 12
+    (0xFCED, 0xFE049DE3),  # c.bnez s1,-6      == bne x9, x0, -6
+    (0x0616, 0x00561613),  # c.slli a2,5       == slli x12, x12, 5
+    (0x4686, 0x04012683),  # c.lwsp a3,64(sp)  == lw x13, 64(x2)
+    (0x8582, 0x00058067),  # c.jr a1           == jalr x0, 0(x11)
+    (0x9002, 0x00100073),  # c.ebreak          == ebreak
+    (0x9582, 0x000580E7),  # c.jalr a1         == jalr x1, 0(x11)
+    (0x9532, 0x00C50533),  # c.add a0,a2       == add x10, x10, x12
+    (0xC0B2, 0x04C12023),  # c.swsp a2,64(sp)  == sw x12, 64(x2)
 ])
 def test_compressed_executes_like_expansion(half, full):
-    init = {10: 7, 11: 0x10040, 12: 3}
+    assert isa.expand_compressed(half) == full
+    init = {2: 0x10000, 9: 5, 10: 7, 11: 0x10040, 12: 3}
     mc, cc = _cpu_with(half.to_bytes(2, "little"), init)
     mf, cf = _cpu_with(full.to_bytes(4, "little"), init)
-    mc.store_word(0x10040, 0x1234)
-    mf.store_word(0x10040, 0x1234)
-    cc.step()
-    cf.step()
-    assert mc.regs.x == mf.regs.x
-    assert mc.pc == 2 and mf.pc == 4
+    traps = []
+    for m, cpu in ((mc, cc), (mf, cf)):
+        m.store_word(0x10040, 0x1234)
+        try:
+            cpu.step()
+        except IllegalInstruction as exc:  # c.ebreak, like ebreak
+            traps.append(str(exc))
+    assert len(traps) in (0, 2) and len(set(traps)) <= 1
+    d = decode(full)
+    expect = list(mf.regs.x)
+    if d.kind in ("jal", "jalr") and d.rd:
+        expect[d.rd] -= 2  # the link is the address after the 2-byte unit
+    assert mc.regs.x == expect
+    assert mc.pc == (2 if mf.pc == 4 else mf.pc)  # fall-through or target
     assert mc.mem.read(0x10040, 4) == mf.mem.read(0x10040, 4)
+
+
+# -- assembler against decoder ---------------------------------------------
+
+ASM_EMITTERS = sorted(
+    name for name, attr in vars(Asm).items()
+    if callable(attr) and not name.startswith("_")
+    and name not in ("label", "assemble", "dump",  # not instructions
+                     "li", "mv", "nop", "ret", "j"))  # pseudo-instructions
+
+
+def _operand(rng, name, param):
+    """A random in-range RV32E operand for `param` of Asm.`name`."""
+    if param == "imm":
+        shift = name in ("slli", "srli", "srai")
+        return rng.randrange(32) if shift else rng.randrange(-2048, 2048)
+    if param == "rs1" and name.startswith("csr") and name.endswith("i"):
+        return rng.randrange(32)  # the 5-bit zimm of a CSR immediate form
+    if param == "label":
+        return rng.choice(("back", "ahead"))
+    if param == "words":
+        return rng.randint(1, 32)
+    return rng.randrange({"csr": 1 << 12, "imm20": 1 << 20}.get(param, 16))
+
+
+@pytest.mark.parametrize("name", ASM_EMITTERS)
+def test_assembler_matches_decoder(name):
+    """Every instruction emitter, with random operands, emits a word that
+    decodes to its kind and the same operands."""
+    rng = random.Random(name)
+    params = list(inspect.signature(getattr(Asm, name)).parameters)[1:]
+    for _ in range(200):
+        ops = {p: _operand(rng, name, p) for p in params}
+        back, ahead = rng.randrange(64), rng.randrange(64)
+        a = Asm()
+        a.label("back")
+        for _ in range(back):
+            a.nop()
+        getattr(a, name)(*ops.values())
+        for _ in range(ahead):
+            a.nop()
+        a.label("ahead")
+        word = int.from_bytes(a.assemble()[4 * back:4 * back + 4], "little")
+        d = decode(word)
+        assert (d.kind, d.length) == (name.rstrip("_"), 4)
+        for param, value in ops.items():
+            if param == "imm20":
+                assert d.imm & M32 == value << 12
+            elif param == "label":
+                assert d.imm == (-4 * back if value == "back" else
+                                 4 * (ahead + 1))
+            else:
+                assert getattr(d, param) == value, param
 
 
 @given(word=st.integers(0, 0xFFFFFFFF))
