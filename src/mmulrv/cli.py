@@ -78,67 +78,55 @@ def _run_one(args, config, irq_cycles=()):
     return _execute(guest, args, config, irq_cycles=irq_cycles)
 
 
-def _unclean(stats):
-    """Why a run did not halt cleanly, or None when it did."""
-    if stats.stop_reason != "halt":
-        return f"stopped by {stats.stop_reason}"
-    if stats.exit_code != 0:
-        return f"exited with code {stats.exit_code}"
-    return None
-
-
 def _exit_code(stats):
-    if _unclean(stats) is None:
+    if stats.unclean() is None:
         return EXIT_OK
     if stats.stop_reason == "budget":
         return EXIT_BUDGET
     return EXIT_TRAP
 
 
-def _report(stats, reference_energy=None, no_reference=None):
-    """The run's report doc and its energy.
+def _reference(args, runs):
+    """The clean BA run that normalizes the energy of `runs` (config ->
+    RunStats of the guest), or why there is none.  It is the BA run among
+    `runs`; `run` reruns BA in-process when that is missing."""
+    if "BA" in runs:
+        stats = runs["BA"]
+    elif args.sweep:
+        return "a --sweep report has no BA reference"
+    elif args.command == "compare":
+        return "no BA run among --configs"
+    else:
+        try:
+            stats = _run_one(args, "BA")
+        except InvalidConfig:
+            return f"{args.guest} pins its configuration: no BA reference"
+    unclean = stats.unclean()
+    return f"the BA reference {unclean}" if unclean else stats
 
-    Energy figures stay null unless the run halted cleanly.
-    normalized_energy divides by `reference_energy`, the energy of a clean
-    BA run of the same guest (a BA run is its own reference), and stays
-    null without one; normalized_energy_reason then says why, taking
-    `no_reference` as the reason a reference is missing.
-    """
+
+def _report(stats, reference):
+    """The run's report doc, its energy figures null unless the run halted
+    cleanly.  `reference` is what `_reference` gave; without a reference
+    run normalized_energy stays null, and normalized_energy_reason says
+    why."""
     doc = stats.to_dict()
     doc["avg_power_watts"] = doc["normalized_energy"] = None
     doc["normalized_energy_reason"] = None
-    unclean = _unclean(stats)
+    unclean = stats.unclean()
     if unclean:
         doc["normalized_energy_reason"] = f"the run {unclean}"
-        return doc, None
-    # normalized here rather than in estimate_energy, which refuses a
-    # non-BA run without a reference
-    est = estimate_energy(stats, PowerModel(), stats.config,
-                          reference_energy=1.0)
-    if stats.config == "BA":
-        reference_energy = est.energy
+        return doc
+    model = PowerModel()
+    reference_energy = None
+    if isinstance(reference, RunStats):
+        reference_energy = estimate_energy(reference, model, "BA").energy
+    est = estimate_energy(stats, model, stats.config, reference_energy)
     doc["avg_power_watts"] = est.avg_power_watts
-    if reference_energy is None:
-        doc["normalized_energy_reason"] = no_reference
-    else:
-        doc["normalized_energy"] = est.energy / reference_energy
-    return doc, est.energy
-
-
-def _reference(args, config):
-    """(energy of a clean BA run of the guest, None), or (None, why not)."""
-    if config == "BA":
-        return None, None  # a BA run is its own reference
-    if args.sweep:
-        return None, "a --sweep report has no BA reference"
-    try:
-        stats = _run_one(args, "BA")
-    except InvalidConfig:
-        return None, f"{args.guest} pins its configuration: no BA reference"
-    unclean = _unclean(stats)
-    if unclean:
-        return None, f"the BA reference {unclean}"
-    return _report(stats)[1], None
+    doc["normalized_energy"] = est.normalized_energy
+    if est.normalized_energy is None:
+        doc["normalized_energy_reason"] = reference
+    return doc
 
 
 def _write(args, doc, table):
@@ -180,10 +168,9 @@ def _compare_table(doc):
 
 
 def cmd_run(args):
-    config = args.config
     irq = [_int(x, "--irq") for x in args.irq or ()]
-    stats = _run_one(args, config, irq_cycles=irq)
-    doc, _ = _report(stats, *_reference(args, config))
+    stats = _run_one(args, args.config, irq_cycles=irq)
+    doc = _report(stats, _reference(args, {args.config: stats}))
     if stats.interrupt_latencies:
         doc["interrupt_latency_report"] = interrupt_latency_report(stats)
     _write(args, doc, _run_table)
@@ -200,13 +187,13 @@ def cmd_compare(args):
     of the first run that did not."""
     configs = args.configs or list(CONFIGS)
     runs = {config: _run_one(args, config) for config in configs}
-    reference_energy = _report(runs["BA"])[1] if "BA" in runs else None
+    reference = _reference(args, runs)
     base = runs[configs[0]]
     rows = []
     for config in configs:
         stats = runs[config]
-        doc, _ = _report(stats, reference_energy)
-        clean = _exit_code(stats) == _exit_code(base) == EXIT_OK
+        doc = _report(stats, reference)
+        clean = not (stats.unclean() or base.unclean())
         rows.append({"config": config, "cycles": stats.total_cycles,
                      "speedup": _rounded(base.total_cycles / stats.total_cycles
                                          if clean else None, 3),

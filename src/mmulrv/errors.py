@@ -49,10 +49,6 @@ class NotMmul(SimError):
     pass
 
 
-class MissingReferenceRun(SimError):
-    pass
-
-
 class NoInterruptsRecorded(SimError):
     pass
 

@@ -9,7 +9,7 @@ dynamic power not attributed to the five tracked modules is carried as an
 
 from dataclasses import dataclass, field
 
-from .errors import MissingReferenceRun, NoInterruptsRecorded
+from .errors import NoInterruptsRecorded
 
 MODULES = ("fetch", "decode", "alu", "regfile", "mmul")
 CONFIGS = ("BA", "CI-AE", "CI-PE")
@@ -80,13 +80,22 @@ class RunStats:
             **{name: getattr(self, name) for name in self.STOP_FIELDS},
         }
 
+    def unclean(self):
+        """Why the run did not halt with exit code 0, or None when it did:
+        only a clean halt's energy and speedup figures are valid."""
+        if self.stop_reason != "halt":
+            return f"stopped by {self.stop_reason}"
+        if self.exit_code != 0:
+            return f"exited with code {self.exit_code}"
+        return None
+
     def merge(self, other):
-        """Adds another run's counters and latencies into this one; a run
-        that did not halt with exit code 0 sets the stop fields."""
+        """Adds another run's counters and latencies into this one; an
+        unclean run sets the stop fields."""
         for name in self.COUNTERS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.interrupt_latencies.extend(other.interrupt_latencies)
-        if (other.stop_reason, other.exit_code) != ("halt", 0):
+        if other.unclean():
             for name in self.STOP_FIELDS:
                 setattr(self, name, getattr(other, name))
         return self
@@ -126,8 +135,9 @@ def estimate_energy(stats, model, config, reference_energy=None):
     avg_dynamic = sum over modules of dynamic_watts[m] * duty[m], where
     duty[m] = active_cycles[m] / total_cycles.  The unattributed residual
     uses the fetch-stage duty as its activity proxy.  normalized_energy
-    divides by the energy of the BA reference run of the same workload
-    (1.0 for a BA run normalized against itself).
+    divides by the energy of the BA reference run of the same workload;
+    without one it is 1.0 for a BA run (its own reference) and None for
+    any other.
     """
     if config not in CONFIGS:
         raise ValueError(f"unknown config {config!r}")
@@ -141,14 +151,10 @@ def estimate_energy(stats, model, config, reference_energy=None):
     static = model.static_watts[config]
     avg_power = static + dyn_mod + dyn_unattr
     energy = avg_power * total
-    if reference_energy is None:
-        if config == "BA":
-            normalized = 1.0
-        else:
-            raise MissingReferenceRun(
-                "non-BA runs need the BA reference energy for normalization")
-    else:
+    if reference_energy is not None:
         normalized = energy / reference_energy
+    else:
+        normalized = 1.0 if config == "BA" else None
     return EnergyEstimate(config, avg_power, static, dyn_mod, dyn_unattr,
                           energy, normalized)
 
