@@ -159,12 +159,17 @@ def _compare_table(doc):
     lines = [f"guest: {doc['guest']}",
              f"{'config':<8} {'cycles':>12} {'speedup':>9} "
              f"{'power(W)':>9} {'norm.energy':>12}"]
+    reasons = []
     for row in doc["rows"]:
         cells = ["-" if row[k] is None else row[k]
                  for k in ("speedup", "avg_power_watts", "normalized_energy")]
         lines.append(f"{row['config']:<8} {row['cycles']:>12} "
                      f"{cells[0]:>9} {cells[1]:>9} {cells[2]:>12}")
-    return "\n".join(lines)
+        for label, key in (("speedup", "speedup_reason"),
+                           ("norm.energy", "normalized_energy_reason")):
+            if row[key]:
+                reasons.append(f"{row['config']:<8} no {label}: {row[key]}")
+    return "\n".join(lines + reasons)
 
 
 def cmd_run(args):
@@ -183,8 +188,9 @@ def _rounded(value, digits):
 
 def cmd_compare(args):
     """Speedup is against the first configuration and, like the energy
-    figures, null unless both runs halted cleanly.  The exit code is that
-    of the first run that did not."""
+    figures, null unless both runs halted cleanly; each row says why a
+    figure is null.  The exit code is that of the first run that did
+    not halt cleanly."""
     configs = args.configs or list(CONFIGS)
     runs = {config: _run_one(args, config) for config in configs}
     reference = _reference(args, runs)
@@ -193,13 +199,20 @@ def cmd_compare(args):
     for config in configs:
         stats = runs[config]
         doc = _report(stats, reference)
-        clean = not (stats.unclean() or base.unclean())
+        speedup = speedup_reason = None
+        if stats.unclean():
+            speedup_reason = f"the run {stats.unclean()}"
+        elif base.unclean():
+            speedup_reason = f"{configs[0]} {base.unclean()}"
+        else:
+            speedup = round(base.total_cycles / stats.total_cycles, 3)
         rows.append({"config": config, "cycles": stats.total_cycles,
-                     "speedup": _rounded(base.total_cycles / stats.total_cycles
-                                         if clean else None, 3),
+                     "speedup": speedup, "speedup_reason": speedup_reason,
                      "avg_power_watts": _rounded(doc["avg_power_watts"], 4),
                      "normalized_energy":
-                         _rounded(doc["normalized_energy"], 5)})
+                         _rounded(doc["normalized_energy"], 5),
+                     "normalized_energy_reason":
+                         doc["normalized_energy_reason"]})
     _write(args, {"guest": args.guest, "rows": rows}, _compare_table)
     codes = [_exit_code(runs[config]) for config in configs]
     return next((code for code in codes if code != EXIT_OK), EXIT_OK)

@@ -226,6 +226,10 @@ def test_compare_subset(capsys):
     assert [r["config"] for r in doc["rows"]] == ["CI-AE", "CI-PE"]
     # no BA run: nothing to normalize against
     assert all(r["normalized_energy"] is None for r in doc["rows"])
+    assert all(r["normalized_energy_reason"] == "no BA run among --configs"
+               for r in doc["rows"])
+    assert all(r["speedup"] is not None and r["speedup_reason"] is None
+               for r in doc["rows"])
 
 
 def test_compare_truncated_rows(capsys):
@@ -235,10 +239,25 @@ def test_compare_truncated_rows(capsys):
     for row in doc["rows"]:
         assert row["speedup"] is None
         assert row["normalized_energy"] is None
+        assert row["speedup_reason"] == row["normalized_energy_reason"] == \
+            "the run stopped by budget"
     code = main(["compare", "--guest", "modexp128", "--budget", "2000",
                  "--format", "table"])
     assert code == EXIT_BUDGET
-    assert "BA" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "BA" in out
+    assert "CI-PE    no norm.energy: the run stopped by budget" in out
+    # CI-AE halts within 8000 cycles, BA (the first configuration) does not
+    code = main(["compare", "--guest", "modexp128", "--budget", "8000",
+                 "--configs", "BA", "CI-AE"])
+    assert code == EXIT_BUDGET
+    ba, ae = json.loads(capsys.readouterr().out)["rows"]
+    assert ba["speedup_reason"] == "the run stopped by budget"
+    assert (ae["speedup"], ae["speedup_reason"]) == \
+        (None, "BA stopped by budget")
+    assert (ae["normalized_energy"], ae["normalized_energy_reason"]) == \
+        (None, "the BA reference stopped by budget")
+    assert ae["avg_power_watts"] > 0
 
 
 def test_selftest_passes(capsys):
