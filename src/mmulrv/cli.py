@@ -27,7 +27,7 @@ def _machine(args):
     try:
         mem = Memory(read_latency=args.read_latency,
                      write_latency=args.write_latency)
-    except ValueError as exc:  # a negative latency
+    except ValueError as exc:  # a latency below 1
         raise SimError(str(exc)) from None
     return Machine(memory=mem, max_words=args.words)
 

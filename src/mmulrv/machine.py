@@ -69,8 +69,8 @@ class Memory:
     """
 
     def __init__(self, size=DEFAULT_MEM_SIZE, read_latency=1, write_latency=1):
-        if read_latency < 0 or write_latency < 0:
-            raise ValueError("latencies must be non-negative")
+        if read_latency < 1 or write_latency < 1:  # every access takes a cycle
+            raise ValueError("latencies must be at least 1")
         self.data = bytearray(size)
         self.read_latency = read_latency
         self.write_latency = write_latency

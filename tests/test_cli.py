@@ -180,8 +180,12 @@ RUN_ONCE = ["run", "--guest", "montmul_once"]
 
 
 @pytest.mark.parametrize("argv,message", [
-    (RUN_ONCE + ["--read-latency", "-1"], "latencies must be non-negative"),
-    (RUN_ONCE + ["--write-latency", "-2"], "latencies must be non-negative"),
+    (RUN_ONCE + ["--read-latency", "-1"], "latencies must be at least 1"),
+    (RUN_ONCE + ["--write-latency", "-2"], "latencies must be at least 1"),
+    (RUN_ONCE + ["--config", "CI-AE", "--read-latency", "0"],
+     "latencies must be at least 1"),
+    (RUN_ONCE + ["--config", "CI-AE", "--write-latency", "0"],
+     "latencies must be at least 1"),
     (RUN_ONCE + ["--set", "foo=1"], "montmul_once has no input foo; its "
                                     "inputs are modulus, words, a, b, irq"),
     (RUN_ONCE + ["--config", "CI-AE", "--words", "-3"],
@@ -189,7 +193,8 @@ RUN_ONCE = ["run", "--guest", "montmul_once"]
     (["selftest", "--words", "0", "--vectors", "2"],
      "--words must be at least 1"),
     (["selftest", "--vectors", "0"], "--vectors must be at least 1"),
-], ids=["read-latency", "write-latency", "set-name", "run-words",
+], ids=["read-latency", "write-latency", "read-latency-zero",
+        "write-latency-zero", "set-name", "run-words",
         "selftest-words", "selftest-vectors"])
 def test_bad_machine_or_guest_input_is_a_usage_error(capsys, argv, message):
     assert main(argv) == EXIT_ERROR

@@ -52,6 +52,12 @@ class TestMemory:
         with pytest.raises(ValueError):
             Memory(read_latency=-1)
 
+    @pytest.mark.parametrize("latency", ["read_latency", "write_latency"])
+    def test_zero_latency_rejected(self, latency):
+        # a zero-cycle access would make every instruction cost 0 cycles
+        with pytest.raises(ValueError, match="latencies must be at least 1"):
+            Memory(**{latency: 0})
+
 
 class TestCsr:
     def test_mmul_mode_write_read(self, machine):
