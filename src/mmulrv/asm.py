@@ -5,8 +5,9 @@ code image with label fixups.  The format encoders and opcodes live in
 `encoding.py`; the emitter of every instruction in the decoder's tables
 (`isa._ALU`, `_BRANCH`, `_LOAD`, `_STORE`, `_CSR`, `_SYSTEM`) is derived
 from its table row, so this module writes no funct3 or funct7 value of
-its own.  Not a general assembler: just enough for the benchmark kernels,
-with a text dump for eyeball cross-checks.
+its own.  Every emitter refuses an operand its field cannot hold with a
+`SimError` rather than truncate it.  Not a general assembler: just enough
+for the benchmark kernels, with a text dump for eyeball cross-checks.
 """
 
 import keyword
@@ -16,7 +17,21 @@ from .encoding import (OPCODE_JALR, OPCODE_LOAD, OPCODE_LUI, OPCODE_OP,
                        OPCODE_OP_IMM, OPCODE_STORE, OPCODE_SYSTEM, encode_b,
                        encode_i, encode_j, encode_r, encode_r4, encode_s,
                        encode_u)
-from .errors import SimError
+from .errors import RegisterOutOfRange, SimError
+
+IMM12 = (-2048, 2047)  # I- and S-type immediates
+
+
+def _reg(*regs):
+    for r in regs:
+        if not 0 <= r <= 15:
+            raise RegisterOutOfRange(f"x{r} not valid under RV32E")
+
+
+def _fits(what, value, bounds):
+    lo, hi = bounds
+    if not lo <= value <= hi:
+        raise SimError(f"{what} {value} outside {lo}..{hi}")
 
 
 class Asm:
@@ -44,10 +59,14 @@ class Asm:
     # -- outside the decoder's tables (the rest are added below) ----------
 
     def lui(self, rd, imm20):
+        _reg(rd)
+        _fits("lui immediate", imm20, (0, 0xFFFFF))
         self._emit(encode_u(OPCODE_LUI, rd, imm20),
-                   f"lui x{rd}, 0x{imm20 & 0xFFFFF:x}")
+                   f"lui x{rd}, 0x{imm20:x}")
 
     def jalr(self, rd, rs1, imm=0):
+        _reg(rd, rs1)
+        _fits("jalr offset", imm, IMM12)
         self._emit(encode_i(OPCODE_JALR, 0, rd, rs1, imm),
                    f"jalr x{rd}, x{rs1}, {imm}")
 
@@ -61,6 +80,7 @@ class Asm:
     # -- label-relative ----------------------------------------------------
 
     def jal(self, rd, label):
+        _reg(rd)
         self.fixups.append((len(self.words), "j", label, rd, 0))
         self._emit(0, f"jal x{rd}, {label}")
 
@@ -116,13 +136,18 @@ class Asm:
 
 def _alu(kind, f3, f7):
     def emit(self, rd, rs1, rs2):
+        _reg(rd, rs1, rs2)
         self._emit(encode_r(OPCODE_OP, f3, f7, rd, rs1, rs2),
                    f"{kind} x{rd}, x{rs1}, x{rs2}")
     return emit
 
 
 def _alu_imm(kind, f3, f7):  # a shift's funct7 sits in imm[11:5]
+    bounds = (0, 31) if f3 == 1 or f3 == 5 else IMM12
+
     def emit(self, rd, rs1, imm):
+        _reg(rd, rs1)
+        _fits(f"{kind} immediate", imm, bounds)
         self._emit(encode_i(OPCODE_OP_IMM, f3, rd, rs1, (f7 << 5) | imm),
                    f"{kind} x{rd}, x{rs1}, {imm}")
     return emit
@@ -130,6 +155,8 @@ def _alu_imm(kind, f3, f7):  # a shift's funct7 sits in imm[11:5]
 
 def _load(kind, f3):
     def emit(self, rd, rs1, imm=0):
+        _reg(rd, rs1)
+        _fits(f"{kind} offset", imm, IMM12)
         self._emit(encode_i(OPCODE_LOAD, f3, rd, rs1, imm),
                    f"{kind} x{rd}, {imm}(x{rs1})")
     return emit
@@ -137,6 +164,8 @@ def _load(kind, f3):
 
 def _store(kind, f3):
     def emit(self, rs2, rs1, imm=0):
+        _reg(rs2, rs1)
+        _fits(f"{kind} offset", imm, IMM12)
         self._emit(encode_s(OPCODE_STORE, f3, rs1, rs2, imm),
                    f"{kind} x{rs2}, {imm}(x{rs1})")
     return emit
@@ -144,6 +173,12 @@ def _store(kind, f3):
 
 def _csr(kind, f3, imm_form):  # an immediate form's rs1 is its 5-bit zimm
     def emit(self, rd, csr, rs1):
+        _reg(rd)
+        _fits("CSR number", csr, (0, 0xFFF))
+        if imm_form:
+            _fits(f"{kind} immediate", rs1, (0, 31))
+        else:
+            _reg(rs1)
         src = rs1 if imm_form else f"x{rs1}"
         self._emit(encode_i(OPCODE_SYSTEM, f3, rd, rs1, csr),
                    f"{kind} x{rd}, 0x{csr:03x}, {src}")
@@ -158,6 +193,7 @@ def _system(kind, word):
 
 def _branch(kind, f3):
     def emit(self, rs1, rs2, label):
+        _reg(rs1, rs2)
         self.fixups.append((len(self.words), "b", label, rs1, rs2, f3))
         self._emit(0, f"{kind} x{rs1}, x{rs2}, {label}")
     return emit

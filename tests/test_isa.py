@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_machine
 from mmulrv import isa
 from mmulrv.asm import Asm
-from mmulrv.errors import IllegalInstruction
+from mmulrv.errors import IllegalInstruction, SimError
 from mmulrv.isa import Cpu, decode
 from mmulrv.machine import DEFAULT_MEM_SIZE, M32, MEPC, MIE, MSTATUS, MTVEC
 
@@ -168,18 +168,23 @@ ASM_EMITTERS = sorted(
                      "li", "mv", "nop", "ret", "j"))  # pseudo-instructions
 
 
-def _operand(rng, name, param):
-    """A random in-range RV32E operand for `param` of Asm.`name`."""
+def _bounds(name, param):
+    """The lowest and highest RV32E value of `param` of Asm.`name`."""
     if param == "imm":
         shift = name in ("slli", "srli", "srai")
-        return rng.randrange(32) if shift else rng.randrange(-2048, 2048)
+        return (0, 31) if shift else (-2048, 2047)
     if param == "rs1" and name.startswith("csr") and name.endswith("i"):
-        return rng.randrange(32)  # the 5-bit zimm of a CSR immediate form
+        return 0, 31  # the 5-bit zimm of a CSR immediate form
+    if param == "words":
+        return 1, 32
+    return 0, {"csr": 0xFFF, "imm20": 0xFFFFF}.get(param, 15)
+
+
+def _operand(rng, name, param):
+    """A random in-range RV32E operand for `param` of Asm.`name`."""
     if param == "label":
         return rng.choice(("back", "ahead"))
-    if param == "words":
-        return rng.randint(1, 32)
-    return rng.randrange({"csr": 1 << 12, "imm20": 1 << 20}.get(param, 16))
+    return rng.randint(*_bounds(name, param))
 
 
 @pytest.mark.parametrize("name", ASM_EMITTERS)
@@ -210,6 +215,33 @@ def test_assembler_matches_decoder(name):
                                  4 * (ahead + 1))
             else:
                 assert getattr(d, param) == value, param
+
+
+def _params(name):
+    return list(inspect.signature(getattr(Asm, name)).parameters)[1:]
+
+
+@pytest.mark.parametrize("name", [n for n in ASM_EMITTERS if _params(n)])
+def test_assembler_refuses_out_of_range(name):
+    """An operand one past either end of its field raises a SimError and
+    emits nothing, where a masking encoder would truncate it."""
+    low = {p: "ahead" if p == "label" else _bounds(name, p)[0]
+           for p in _params(name)}
+    for param in low.keys() - {"label"}:
+        lo, hi = _bounds(name, param)
+        for bad in (lo - 1, hi + 1):
+            a = Asm()
+            a.label("ahead")
+            with pytest.raises(SimError):
+                getattr(a, name)(**{**low, param: bad})
+            assert a.words == [], (param, bad)
+    high = {p: v if p == "label" else _bounds(name, p)[1]
+            for p, v in low.items()}
+    for ends in (low, high):  # the ends themselves are accepted
+        a = Asm()
+        a.label("ahead")
+        getattr(a, name)(**ends)
+        assert len(a.words) == 1
 
 
 @given(word=st.integers(0, 0xFFFFFFFF))
