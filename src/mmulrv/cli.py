@@ -234,7 +234,7 @@ def cmd_selftest(args):
             a = rng.randrange(n_mod)
             b = rng.randrange(n_mod)
             expect = (a * b * pow(1 << n_bits, -1, n_mod)) % n_mod
-            machine = _machine(args)
+            machine = Machine(max_words=args.words)
             base = DATA_BASE
             for i, val in enumerate((a, b, n_mod)):
                 machine.load_image(val.to_bytes(4 * words, "little"),
@@ -269,11 +269,9 @@ def cmd_encode(args):
     return EXIT_OK
 
 
-def _add_machine_args(sp):
+def _add_words_arg(sp):
     sp.add_argument("--words", type=int, default=8,
                     help="hardware max operand length in 32-bit words")
-    sp.add_argument("--read-latency", type=int, default=1)
-    sp.add_argument("--write-latency", type=int, default=1)
 
 
 def _add_run_args(sp):
@@ -284,7 +282,9 @@ def _add_run_args(sp):
                     help="cycle budget (defaults to a per-guest hint)")
     sp.add_argument("--format", choices=("json", "table"), default="json")
     sp.add_argument("--out", default=None)
-    _add_machine_args(sp)
+    _add_words_arg(sp)
+    sp.add_argument("--read-latency", type=int, default=1)
+    sp.add_argument("--write-latency", type=int, default=1)
 
 
 def build_parser():
@@ -312,7 +312,7 @@ def build_parser():
     sp = sub.add_parser("selftest",
                         help="engine vs big-integer oracle on random vectors")
     sp.add_argument("--vectors", type=int, default=250)
-    _add_machine_args(sp)
+    _add_words_arg(sp)
     sp.set_defaults(func=cmd_selftest)
 
     sp = sub.add_parser("encode", help="inspect an MMUL encoding")
