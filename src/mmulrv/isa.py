@@ -4,7 +4,10 @@ A compressed unit is expanded to the 32-bit word the RVC spec defines for
 it, built with the format encoders of `encoding.py`, and decoded as that
 word; only its length (2) differs.  The decoder reads the per-class tables
 below, the executor table is built from them, and the assembler derives
-its emitters from them.
+its emitters from them.  `Cpu.run` also translates each straight run of
+ALU, load and store instructions, up to its first control transfer, into
+one generated Python function (QEMU's translation blocks), built from the
+same table rows and run only where it equals stepping.
 
 Timing: 1 cycle per retired instruction (covers a single-cycle fetch),
 +1 cycle per taken control transfer, plus memory wait-states beyond the
@@ -14,7 +17,6 @@ model is fixed and the same for BA/CI-AE/CI-PE.
 """
 
 import math
-import operator
 from contextlib import suppress
 from functools import lru_cache
 from typing import NamedTuple
@@ -68,27 +70,27 @@ def _lookup(table, key, message):
     return table[key]
 
 
-def _lt(a, b):
-    return _sext(a, 32) < _sext(b, 32)
-
-
-# One row per instruction: its encoding, kind and executor operand.  An
-# immediate ALU form applies its register form's operation to d.imm & M32.
-_ALU = {  # (funct3, funct7) -> (register form, immediate form, operation)
-    (0, 0): ("add", "addi", operator.add),
-    (0, 0x20): ("sub", None, operator.sub),
-    (1, 0): ("sll", "slli", lambda a, b: a << (b & 31)),
-    (2, 0): ("slt", "slti", lambda a, b: int(_lt(a, b))),
-    (3, 0): ("sltu", "sltiu", lambda a, b: int(a < b)),
-    (4, 0): ("xor", "xori", operator.xor),
-    (5, 0): ("srl", "srli", lambda a, b: a >> (b & 31)),
-    (5, 0x20): ("sra", "srai", lambda a, b: _sext(a, 32) >> (b & 31)),
-    (6, 0): ("or", "ori", operator.or_),
-    (7, 0): ("and", "andi", operator.and_),
+# One row per instruction: its encoding, kind and result, a Python expression
+# of 32-bit operands {a} and {b} that both `step` and the block translator
+# compile.  An immediate ALU form applies its register form's to d.imm & M32.
+_ALU = {  # (funct3, funct7) -> (register form, immediate form, result)
+    (0, 0): ("add", "addi", "{a} + {b} & 0xFFFFFFFF"),
+    (0, 0x20): ("sub", None, "{a} - {b} & 0xFFFFFFFF"),
+    (1, 0): ("sll", "slli", "{a} << ({b} & 31) & 0xFFFFFFFF"),
+    (2, 0): ("slt", "slti", "1 if {a} ^ 0x80000000 < {b} ^ 0x80000000 else 0"),
+    (3, 0): ("sltu", "sltiu", "1 if {a} < {b} else 0"),
+    (4, 0): ("xor", "xori", "{a} ^ {b}"),
+    (5, 0): ("srl", "srli", "{a} >> ({b} & 31)"),
+    (5, 0x20): ("sra", "srai",
+                "({a} ^ 0x80000000) - 0x80000000 >> ({b} & 31) & 0xFFFFFFFF"),
+    (6, 0): ("or", "ori", "{a} | {b}"),
+    (7, 0): ("and", "andi", "{a} & {b}"),
 }
-_BRANCH = {0: ("beq", operator.eq), 1: ("bne", operator.ne), 4: ("blt", _lt),
-           5: ("bge", lambda a, b: not _lt(a, b)), 6: ("bltu", operator.lt),
-           7: ("bgeu", operator.ge)}  # funct3 -> (kind, taken(rs1, rs2))
+_BRANCH = {0: ("beq", "{a} == {b}"), 1: ("bne", "{a} != {b}"),
+           4: ("blt", "{a} ^ 0x80000000 < {b} ^ 0x80000000"),
+           5: ("bge", "{a} ^ 0x80000000 >= {b} ^ 0x80000000"),
+           6: ("bltu", "{a} < {b}"),
+           7: ("bgeu", "{a} >= {b}")}  # funct3 -> (kind, taken)
 _LOAD = {0: ("lb", (1, True)), 1: ("lh", (2, True)), 2: ("lw", (4, False)),
          4: ("lbu", (1, False)), 5: ("lhu", (2, False))}  # (bytes, signed)
 _STORE = {0: ("sb", 1), 1: ("sh", 2), 2: ("sw", 4)}  # funct3 -> (kind, bytes)
@@ -287,23 +289,15 @@ TRAP_ENTRY_CYCLES = 3     # cycles of an interrupt entry
 # An executor gets (machine, decoded, its pc, its table value), sets m.pc
 # only to transfer control, and returns its cycles beyond BASE_CPI + wait.
 
-def _alu(m, d, pc, fn):
+def _alu(m, d, pc, kind):
     if d.rd:
         x = m.regs.x
-        x[d.rd] = fn(x[d.rs1], x[d.rs2]) & M32
+        x[d.rd] = _op(kind)(x, d)
     return 0
 
 
-def _alu_imm(m, d, pc, fn):
-    if d.rd:
-        x = m.regs.x
-        x[d.rd] = fn(x[d.rs1], d.imm & M32) & M32
-    return 0
-
-
-def _branch(m, d, pc, taken):
-    x = m.regs.x
-    if taken(x[d.rs1], x[d.rs2]):
+def _branch(m, d, pc, kind):
+    if _op(kind)(m.regs.x, d):
         m.pc = (pc + d.imm) & M32
         return TAKEN_BRANCH_PENALTY
     return 0
@@ -392,6 +386,20 @@ def _mmul(m, d, pc, _):
     return res.cycles
 
 
+# kind -> its table row's result; an immediate form's operand b is {imm}
+_RESULT = {**{reg: result for reg, _, result in _ALU.values()},
+           **{imm: result.replace("{b}", "{imm}")
+              for _, imm, result in _ALU.values() if imm},
+           **dict(_BRANCH.values())}
+
+
+@lru_cache(maxsize=None)
+def _op(kind):
+    """The result of `kind` as a function of (x, d), compiled on first use."""
+    return eval("lambda x, d: " + _RESULT[kind].format(
+        a="x[d.rs1]", b="x[d.rs2]", imm="(d.imm & 0xFFFFFFFF)"))
+
+
 # kind -> (executor, its table value, counts an ALU cycle)
 _EXECUTE = {
     "lui": (_upper, False, True), "auipc": (_upper, True, True),
@@ -399,13 +407,105 @@ _EXECUTE = {
     "mret": (_mret, None, False), "ecall": (_ecall, None, False),
     "ebreak": (_ebreak, None, False), "fence": (_fence, None, False),
     "mmul": (_mmul, None, False),
-    **{reg: (_alu, fn, True) for reg, _, fn in _ALU.values()},
-    **{imm: (_alu_imm, fn, True) for _, imm, fn in _ALU.values() if imm},
-    **{kind: (_branch, taken, True) for kind, taken in _BRANCH.values()},
+    **{kind: (_alu, kind, True)
+       for reg, imm, _ in _ALU.values() for kind in (reg, imm) if kind},
+    **{kind: (_branch, kind, True) for kind, _ in _BRANCH.values()},
     **{kind: (_load, spec, True) for kind, spec in _LOAD.values()},
     **{kind: (_store, nbytes, True) for kind, nbytes in _STORE.values()},
     **{kind: (_csr, spec, False) for kind, spec in _CSR.values()},
 }
+
+# A block is a run of the kinds that use the ALU, up to and including its
+# first control transfer; MMUL, CSR, mret, ecall, ebreak and fence stay on
+# `step`, and so does a block its exactness conditions exclude (`Cpu.run`).
+_TRANSLATED = {kind for kind, (_, _, uses_alu) in _EXECUTE.items() if uses_alu}
+
+
+@lru_cache(maxsize=1 << 12)
+def _translate(pc, raws, read_latency, write_latency):
+    """The block of fetch units `raws` at `pc` as (run, head, end): `run(m)`
+    retires it with `step`'s counts in bulk, `head` is the static cycles of
+    all its instructions but the last, `end` the end of its fetch windows.
+
+    An access that would fault retires only the instructions before it and
+    returns True, m.pc at it, for `step` to re-execute; a store below
+    `code_top` invalidates what it overlaps and ends the block."""
+    count = cycles = reads = writes = 0
+
+    def retire(to, extra=0):  # every translated kind uses the ALU
+        return (f"m.pc = {to}; m.cycle += {cycles + extra}; s = m.stats; "
+                f"s.retired += {count}; s.fetch_cycles += "
+                f"{count * read_latency}; s.mem_reads += {reads}; "
+                f"s.mem_writes += {writes}; " + "; ".join(
+                    f"s.{name}_cycles += {count}"
+                    for name in ("decode", "regfile", "alu")) + "; return")
+
+    lines = ["x = m.regs.x; mem = m.mem; data = mem.data"]
+    at = pc
+    for i, raw in enumerate(raws):
+        d = decode(raw)
+        execute, value, _ = _EXECUTE[d.kind]
+        head, fault = cycles, retire(at)
+        count += 1
+        cycles += BASE_CPI + read_latency - 1
+        after = (at + d.length) & M32
+        rd = f"x[{d.rd}] = " if d.rd else "_ = "
+        a, b = (f"x[{r}]" if r else "0" for r in (d.rs1, d.rs2))
+        result = _RESULT.get(d.kind, "").format(a=a, b=b, imm=d.imm & M32)
+        if execute is _alu:
+            lines.append(rd + result)
+        elif execute is _upper:
+            lines.append(rd + str((at if value else 0) + d.imm & M32))
+        elif execute in (_load, _store):
+            n, load = (value[0], True) if execute is _load else (value, False)
+            reads, writes = reads + load, writes + (not load)
+            cycles += (read_latency if load else write_latency) - 1
+            misaligned = f"a & {n - 1} or " if n > 1 else ""
+            lines += [f"a = {a} + {d.imm & M32} & 0xFFFFFFFF", f"if "
+                      f"{misaligned}a + {n} > len(data): {fault} True"]
+            if load:
+                lines.append(rd + f"int.from_bytes(data[a:a + {n}], 'little'"
+                             + (", signed=True) & 0xFFFFFFFF"
+                                if value[1] else ")"))
+            else:  # a write below code_top invalidates what it overlaps
+                lines.append(f"mem.write(a, {n}, {b})")
+                if i < len(raws) - 1:  # and the rest may have been rewritten
+                    lines.append(f"if a < mem.code_top: {retire(after)}")
+        elif execute is _branch:
+            taken = retire(at + d.imm & M32, TAKEN_BRANCH_PENALTY)
+            lines.append(f"if {result}: {taken}")
+        else:  # jal, jalr: rs1 is read before the link can overwrite it
+            cycles += TAKEN_BRANCH_PENALTY
+            lines += [f"t = {a if value else at} + {d.imm & M32} "
+                      "& 0xFFFFFFFE", rd + str(after)]
+            after = "t"
+        last, at = at, (at + d.length) & M32
+    lines.append(retire(after))
+    namespace = {}
+    exec("def run(m):\n    " + "\n    ".join(lines), namespace)
+    return namespace["run"], head, last + 4
+
+
+def _block_at(mem, pc):
+    """The block at `pc`, kept in `mem.blocks`; `run` is None where it steps.
+    Only a pc that `step` has decoded is translated: code run once, such as
+    straight-line code on a fresh machine, costs less to step."""
+    if pc not in mem.decoded:
+        return None, 0, 0
+    raws, at = [], pc
+    with suppress(SimError):  # a unit that cannot be fetched or decoded
+        while not raws or _EXECUTE[d.kind][0] not in (_branch, _jump):
+            raw = mem.fetch_unit(at)
+            d = decode(raw)
+            if d.kind not in _TRANSLATED:
+                break
+            raws.append(raw)
+            at = (at + d.length) & M32
+    block = mem.blocks[pc] = _translate(
+        pc, tuple(raws), mem.read_latency, mem.write_latency) \
+        if raws else (None, 0, pc + 4)
+    mem.code_top = max(mem.code_top, block[2])
+    return block
 
 
 class Cpu:
@@ -468,11 +568,16 @@ class Cpu:
 
         Scheduled interrupts are raised, and the halt and budget checked,
         only at a wake cycle: the next scheduled interrupt or the budget,
-        whichever is first.  Between wakes the loop only steps."""
+        whichever is first, and the run stops at the first instruction
+        boundary at or past it.  Between wakes the loop runs a block in one
+        call when that equals stepping it: no enabled interrupt is pending
+        and the block's last instruction starts before the wake.  Otherwise,
+        and always when `step` is overridden or wrapped, it steps."""
         m = self.m
         stats = m.stats
         stats.config = config
         step = self.step
+        blocks = m.mem.blocks if type(self).step is _PLAIN_STEP else None
         sched = sorted(irq_schedule)
         si = 0
         try:
@@ -490,7 +595,15 @@ class Cpu:
                 if budget is not None and budget < wake:
                     wake = budget
                 while m.cycle < wake and not m.halted:
-                    step()
+                    if blocks is None or m.irq_pending and m.interrupt_ready():
+                        step()
+                        continue
+                    run_block, head, _ = blocks.get(m.pc) \
+                        or _block_at(m.mem, m.pc)
+                    # step if the wake falls inside, or to trap on a fault
+                    if run_block is None or m.cycle + head >= wake \
+                            or run_block(m):
+                        step()
         except SimError as exc:
             stats.stop_reason = "trap"
             stats.trap_cause = f"{type(exc).__name__}: {exc}"
@@ -500,3 +613,6 @@ class Cpu:
         stats.total_cycles = m.cycle
         stats.exit_code = m.exit_code
         return stats
+
+
+_PLAIN_STEP = Cpu.step

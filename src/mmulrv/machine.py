@@ -61,11 +61,12 @@ class Memory:
     """Single flat byte-addressed region from address 0 with configurable
     access latency.
 
-    `decoded` caches the core's decoded instruction per pc.  Every write
-    drops the entries whose 4-byte fetch window [pc, pc + 4) it overlaps,
-    so a store into code is seen by the next fetch.  `code_top` is the end
-    of the highest window ever cached: a write at or above it, such as a
-    data or MMUL engine store, costs one comparison.
+    `decoded` caches the core's decoded instruction per pc and `blocks`
+    its translated block per start pc.  Every write drops the entries whose
+    fetch windows (4 bytes from each instruction's pc) it overlaps, so a
+    store into code is seen by the next fetch.  `code_top` is the end of the
+    highest window ever cached: a write at or above it, such as a data or
+    MMUL engine store, costs one comparison.
     """
 
     def __init__(self, size=DEFAULT_MEM_SIZE, read_latency=1, write_latency=1):
@@ -75,6 +76,7 @@ class Memory:
         self.read_latency = read_latency
         self.write_latency = write_latency
         self.decoded = {}  # pc -> (decoded, executor, table value, uses_alu)
+        self.blocks = {}  # pc -> (run, head, end of its last fetch window)
         self.code_top = 0
 
     def _check(self, addr, nbytes):
@@ -109,10 +111,12 @@ class Memory:
             self._invalidate(base, base + len(blob))
 
     def _invalidate(self, start, end):
-        """Drop the decoded entries whose fetch window meets [start, end)."""
-        decoded = self.decoded
+        """Drop the decoded entries and blocks that [start, end) overlaps."""
+        decoded, blocks = self.decoded, self.blocks
         for pc in [pc for pc in decoded if start - 4 < pc < end]:
             del decoded[pc]
+        for pc in [p for p, b in blocks.items() if p < end and start < b[2]]:
+            del blocks[pc]
 
 
 class Machine:
