@@ -70,9 +70,9 @@ def _lookup(table, key, message):
     return table[key]
 
 
-# One row per instruction: its encoding, kind and result, a Python expression
-# of 32-bit operands {a} and {b} that both `step` and the block translator
-# compile.  An immediate ALU form applies its register form's to d.imm & M32.
+# One row per instruction: its encoding, kind and result.  A result is a
+# Python expression of the 32-bit operands {a} and {b}, which `step` and the
+# block translator both compile; an immediate form's b is d.imm & M32.
 _ALU = {  # (funct3, funct7) -> (register form, immediate form, result)
     (0, 0): ("add", "addi", "{a} + {b} & 0xFFFFFFFF"),
     (0, 0x20): ("sub", None, "{a} - {b} & 0xFFFFFFFF"),

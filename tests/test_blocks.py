@@ -4,8 +4,8 @@
 stepping it.  Each program here reaches a block a second time, after its
 first pass has been stepped, so the block path runs it;
 `reference_core.ReferenceCpu`, which steps every instruction, runs it on a
-twin machine, and both must end in identical state at every memory latency
-pair: a fault in the middle of a block, a budget or interrupt at every cycle
+twin machine, and both must end in identical state at three memory latency
+pairs: a fault in the middle of a block, a budget or interrupt at every cycle
 across one, and a store into a later instruction of the running block.
 """
 
