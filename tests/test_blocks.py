@@ -59,10 +59,7 @@ def _access(kind, start, stride):
     """x8 walks from `start` by `stride`; the second pass's access faults."""
     def body(a):
         a.addi(5, 5, 1)
-        if kind.startswith("s"):
-            getattr(a, kind)(5, 8, 0)
-        else:
-            getattr(a, kind)(7, 8, 0)
+        getattr(a, kind)(5 if kind.startswith("s") else 7, 8, 0)
         a.addi(5, 5, 1)
         a.addi(8, 8, stride)
     return _loop(body, [lambda a: a.li(8, start)])
