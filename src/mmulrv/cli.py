@@ -57,6 +57,8 @@ def _parse_sweep(spec):
     start, end, step = (_int(x, "--sweep") for x in parts)
     if step <= 0 or end <= start:
         raise SimError(f"bad sweep spec {spec!r}")
+    if start < 0:
+        raise SimError("--sweep start must be at least 0")
     return range(start, end, step)
 
 
@@ -174,8 +176,13 @@ def _compare_table(doc):
 
 def cmd_run(args):
     irq = [_int(x, "--irq") for x in args.irq or ()]
+    if any(at < 0 for at in irq):
+        raise SimError("--irq cycles must be at least 0")
     stats = _run_one(args, args.config, irq_cycles=irq)
-    doc = _report(stats, _reference(args, {args.config: stats}))
+    # an unclean run reports no energy: it needs no BA reference run
+    reference = None if stats.unclean() else \
+        _reference(args, {args.config: stats})
+    doc = _report(stats, reference)
     if stats.interrupt_latencies:
         doc["interrupt_latency_report"] = interrupt_latency_report(stats)
     _write(args, doc, _run_table)

@@ -440,8 +440,8 @@ def emit_ladder_x25519_field(scalar, u, config, scalar_bits=None,
     ctx = FieldContext(P25519, 8)
     if scalar_bits is None:
         scalar_bits = max(scalar.bit_length(), 1)
-    if scalar_bits > 32:
-        raise InvalidConfig("desk-scale ladder keeps the scalar in one word")
+    if scalar_bits < 1 or scalar_bits > 32:  # the scalar sits in one word
+        raise InvalidConfig("scalar_bits must be in 1..32 at desk scale")
     W = ctx.words
     dl = DataLayout()
     dl.alloc("mailbox", 4)

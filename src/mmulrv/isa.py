@@ -4,10 +4,14 @@ A compressed unit is expanded to the 32-bit word the RVC spec defines for
 it, built with the format encoders of `encoding.py`, and decoded as that
 word; only its length (2) differs.  The decoder reads the per-class tables
 below, the executor table is built from them, and the assembler derives
-its emitters from them.  `Cpu.run` also translates each straight run of
-ALU, load and store instructions, up to its first control transfer, into
-one generated Python function (QEMU's translation blocks), built from the
-same table rows and run only where it equals stepping.
+its emitters from them.  The ALU, `lui`/`auipc`, load, store, branch and
+jump kinds have one implementation: `_translate` compiles a straight run
+of them, up to its first control transfer, into one generated Python
+function (QEMU's translation blocks).  `Cpu.run` runs such a block where
+that equals stepping, and `Cpu.step` runs each of these kinds as a block
+of one instruction.  A faulting access raises from inside its block, after
+the instructions before it retire.  MMUL, CSR, `mret`, `ecall`, `ebreak`
+and `fence` have hand-written executors instead.
 
 Timing: 1 cycle per retired instruction (covers a single-cycle fetch),
 +1 cycle per taken control transfer, plus memory wait-states beyond the
@@ -71,8 +75,8 @@ def _lookup(table, key, message):
 
 
 # One row per instruction: its encoding, kind and result.  A result is a
-# Python expression of the 32-bit operands {a} and {b}, which `step` and the
-# block translator both compile; an immediate form's b is d.imm & M32.
+# Python expression of the 32-bit operands {a} and {b}, which the block
+# translator compiles; an immediate form's b is d.imm & M32.
 _ALU = {  # (funct3, funct7) -> (register form, immediate form, result)
     (0, 0): ("add", "addi", "{a} + {b} & 0xFFFFFFFF"),
     (0, 0x20): ("sub", None, "{a} - {b} & 0xFFFFFFFF"),
@@ -288,41 +292,7 @@ TRAP_ENTRY_CYCLES = 3     # cycles of an interrupt entry
 
 # An executor gets (machine, decoded, its pc, its table value), sets m.pc
 # only to transfer control, and returns its cycles beyond BASE_CPI + wait.
-
-def _alu(m, d, pc, kind):
-    if d.rd:
-        x = m.regs.x
-        x[d.rd] = _op(kind)(x, d)
-    return 0
-
-
-def _branch(m, d, pc, kind):
-    if _op(kind)(m.regs.x, d):
-        m.pc = (pc + d.imm) & M32
-        return TAKEN_BRANCH_PENALTY
-    return 0
-
-
-def _load(m, d, pc, spec):
-    nbytes, signed = spec
-    addr = (m.regs.x[d.rs1] + d.imm) & M32
-    if nbytes == 4:
-        val, lat = m.load_word(addr)
-    else:
-        val, lat = m.load_scalar(addr, nbytes)
-        if signed:
-            val = _sext(val, 8 * nbytes)
-    m.regs.write(d.rd, val)
-    return lat - 1
-
-
-def _store(m, d, pc, nbytes):
-    x = m.regs.x
-    addr = (x[d.rs1] + d.imm) & M32
-    if nbytes == 4:
-        return m.store_word(addr, x[d.rs2]) - 1
-    return m.store_scalar(addr, nbytes, x[d.rs2]) - 1
-
+# Only the kinds that `_translate` does not compile have one.
 
 def _csr(m, d, pc, spec):
     op, imm_form = spec
@@ -331,18 +301,6 @@ def _csr(m, d, pc, spec):
     src = d.rs1 if imm_form else m.regs.x[d.rs1]
     m.regs.write(d.rd, m.csr_access(d.csr, op, src))
     return 0
-
-
-def _upper(m, d, pc, pc_relative):  # lui, auipc
-    m.regs.write(d.rd, (pc if pc_relative else 0) + d.imm)
-    return 0
-
-
-def _jump(m, d, pc, indirect):  # jal, jalr
-    base = m.regs.x[d.rs1] if indirect else pc
-    m.regs.write(d.rd, pc + d.length)
-    m.pc = (base + d.imm) & ~1 & M32
-    return TAKEN_BRANCH_PENALTY
 
 
 def _mret(m, d, pc, _):
@@ -386,83 +344,79 @@ def _mmul(m, d, pc, _):
     return res.cycles
 
 
-# kind -> its table row's result; an immediate form's operand b is {imm}
-_RESULT = {**{reg: result for reg, _, result in _ALU.values()},
-           **{imm: result.replace("{b}", "{imm}")
-              for _, imm, result in _ALU.values() if imm},
-           **dict(_BRANCH.values())}
-
-
-@lru_cache(maxsize=None)
-def _op(kind):
-    """The result of `kind` as a function of (x, d), compiled on first use."""
-    return eval("lambda x, d: " + _RESULT[kind].format(
-        a="x[d.rs1]", b="x[d.rs2]", imm="(d.imm & 0xFFFFFFFF)"))
-
-
-# kind -> (executor, its table value, counts an ALU cycle)
+# kind -> (executor, its table value).  A kind that `_translate` compiles
+# names its case there instead, and an ALU or branch kind's value is its
+# table row's result, with an immediate form's operand b as {imm}.
 _EXECUTE = {
-    "lui": (_upper, False, True), "auipc": (_upper, True, True),
-    "jal": (_jump, False, True), "jalr": (_jump, True, True),
-    "mret": (_mret, None, False), "ecall": (_ecall, None, False),
-    "ebreak": (_ebreak, None, False), "fence": (_fence, None, False),
-    "mmul": (_mmul, None, False),
-    **{kind: (_alu, kind, True)
-       for reg, imm, _ in _ALU.values() for kind in (reg, imm) if kind},
-    **{kind: (_branch, kind, True) for kind, _ in _BRANCH.values()},
-    **{kind: (_load, spec, True) for kind, spec in _LOAD.values()},
-    **{kind: (_store, nbytes, True) for kind, nbytes in _STORE.values()},
-    **{kind: (_csr, spec, False) for kind, spec in _CSR.values()},
+    "lui": ("upper", False), "auipc": ("upper", True),
+    "jal": ("jump", False), "jalr": ("jump", True),
+    "mret": (_mret, None), "ecall": (_ecall, None),
+    "ebreak": (_ebreak, None), "fence": (_fence, None),
+    "mmul": (_mmul, None),
+    **{reg: ("alu", result) for reg, _, result in _ALU.values()},
+    **{imm: ("alu", result.replace("{b}", "{imm}"))
+       for _, imm, result in _ALU.values() if imm},
+    **{kind: ("branch", taken) for kind, taken in _BRANCH.values()},
+    **{kind: ("load", spec) for kind, spec in _LOAD.values()},
+    **{kind: ("store", nbytes) for kind, nbytes in _STORE.values()},
+    **{kind: (_csr, spec) for kind, spec in _CSR.values()},
 }
 
-# A block is a run of the kinds that use the ALU, up to and including its
-# first control transfer; MMUL, CSR, mret, ecall, ebreak and fence stay on
-# `step`, and so does a block its exactness conditions exclude (`Cpu.run`).
-_TRANSLATED = {kind for kind, (_, _, uses_alu) in _EXECUTE.items() if uses_alu}
+# The translated kinds, exactly those that use the ALU.  `step` runs one as
+# a block of one instruction; MMUL, CSR, mret, ecall, ebreak and fence keep
+# their executors and are never compiled.
+_TRANSLATED = {k for k, (case, _) in _EXECUTE.items() if isinstance(case, str)}
 
 
 @lru_cache(maxsize=1 << 12)
 def _translate(pc, raws, read_latency, write_latency):
     """The block of fetch units `raws` at `pc` as (run, head, end): `run(m)`
-    retires it with `step`'s counts in bulk, `head` is the static cycles of
-    all its instructions but the last, `end` the end of its fetch windows.
+    retires it with `step`'s counts in bulk and returns its cycles, `head`
+    is the static cycles of all its instructions but the last, `end` the
+    end of its fetch windows.  `step` runs a translated kind as the block
+    of that one instruction.
 
-    An access that would fault retires only the instructions before it and
-    returns True, m.pc at it, for `step` to re-execute; a store below
+    An access that would fault retires the instructions before it, leaves
+    m.pc at it and calls the machine's LSU, which raises; a store below
     `code_top` invalidates what it overlaps and ends the block."""
     count = cycles = reads = writes = 0
 
-    def retire(to, extra=0):  # every translated kind uses the ALU
+    def retire(to, extra=0, then=None):  # every translated kind uses the ALU
+        """Retire the first `count` instructions, then leave at `to`, or
+        run the statement `then`."""
         return (f"m.pc = {to}; m.cycle += {cycles + extra}; s = m.stats; "
                 f"s.retired += {count}; s.fetch_cycles += "
                 f"{count * read_latency}; s.mem_reads += {reads}; "
                 f"s.mem_writes += {writes}; " + "; ".join(
                     f"s.{name}_cycles += {count}"
-                    for name in ("decode", "regfile", "alu")) + "; return")
+                    for name in ("decode", "regfile", "alu")) + "; "
+                + (f"return {cycles + extra}" if then is None else then))
 
     lines = ["x = m.regs.x; mem = m.mem; data = mem.data"]
     at = pc
     for i, raw in enumerate(raws):
         d = decode(raw)
-        execute, value, _ = _EXECUTE[d.kind]
-        head, fault = cycles, retire(at)
+        case, value = _EXECUTE[d.kind]
+        head, fault = cycles, retire(at, then="") if count else ""
         count += 1
         cycles += BASE_CPI + read_latency - 1
         after = (at + d.length) & M32
         rd = f"x[{d.rd}] = " if d.rd else "_ = "
         a, b = (f"x[{r}]" if r else "0" for r in (d.rs1, d.rs2))
-        result = _RESULT.get(d.kind, "").format(a=a, b=b, imm=d.imm & M32)
-        if execute is _alu:
-            lines.append(rd + result)
-        elif execute is _upper:
+        if case == "alu":
+            lines.append(rd + value.format(a=a, b=b, imm=d.imm & M32))
+        elif case == "upper":
             lines.append(rd + str((at if value else 0) + d.imm & M32))
-        elif execute in (_load, _store):
-            n, load = (value[0], True) if execute is _load else (value, False)
+        elif case in ("load", "store"):
+            load = case == "load"
+            n = value[0] if load else value
             reads, writes = reads + load, writes + (not load)
             cycles += (read_latency if load else write_latency) - 1
             misaligned = f"a & {n - 1} or " if n > 1 else ""
-            lines += [f"a = {a} + {d.imm & M32} & 0xFFFFFFFF", f"if "
-                      f"{misaligned}a + {n} > len(data): {fault} True"]
+            lsu = f"m.{case}_" + ("word(a" if n == 4 else f"scalar(a, {n}") \
+                + ("" if load else f", {b}") + ")"
+            lines += [f"a = {a} + {d.imm & M32} & 0xFFFFFFFF",
+                      f"if {misaligned}a + {n} > len(data): {fault}{lsu}"]
             if load:
                 lines.append(rd + f"int.from_bytes(data[a:a + {n}], 'little'"
                              + (", signed=True) & 0xFFFFFFFF"
@@ -471,9 +425,9 @@ def _translate(pc, raws, read_latency, write_latency):
                 lines.append(f"mem.write(a, {n}, {b})")
                 if i < len(raws) - 1:  # and the rest may have been rewritten
                     lines.append(f"if a < mem.code_top: {retire(after)}")
-        elif execute is _branch:
+        elif case == "branch":
             taken = retire(at + d.imm & M32, TAKEN_BRANCH_PENALTY)
-            lines.append(f"if {result}: {taken}")
+            lines.append(f"if {value.format(a=a, b=b)}: {taken}")
         else:  # jal, jalr: rs1 is read before the link can overwrite it
             cycles += TAKEN_BRANCH_PENALTY
             lines += [f"t = {a if value else at} + {d.imm & M32} "
@@ -494,7 +448,7 @@ def _block_at(mem, pc):
         return None, 0, 0
     raws, at = [], pc
     with suppress(SimError):  # a unit that cannot be fetched or decoded
-        while not raws or _EXECUTE[d.kind][0] not in (_branch, _jump):
+        while not raws or _EXECUTE[d.kind][0] not in ("branch", "jump"):
             raw = mem.fetch_unit(at)
             d = decode(raw)
             if d.kind not in _TRANSLATED:
@@ -531,8 +485,10 @@ class Cpu:
         """Retire one instruction (or take a pending enabled interrupt).
         A fault leaves m.pc at the faulting instruction.
 
-        Decoded instructions are cached per pc in `m.mem.decoded`; a miss
-        fetches and decodes, and caches nothing when either raises."""
+        Decoded instructions are cached per pc in `m.mem.decoded`, a
+        translated kind with its block of one instruction, which retires
+        it; a miss fetches and decodes, and caches nothing when either
+        raises."""
         m = self.m
         if m.irq_pending and m.interrupt_ready():
             return self._enter_interrupt()
@@ -540,11 +496,16 @@ class Cpu:
         mem = m.mem
         entry = mem.decoded.get(pc)
         if entry is None:
-            d = decode(mem.fetch_unit(pc))
-            entry = mem.decoded[pc] = (d,) + _EXECUTE[d.kind]
-            if pc + 4 > mem.code_top:
-                mem.code_top = pc + 4
-        d, execute, value, uses_alu = entry
+            raw = mem.fetch_unit(pc)
+            d = decode(raw)
+            run = d.kind in _TRANSLATED and _translate(
+                pc, (raw,), mem.read_latency, mem.write_latency)[0]
+            entry = mem.decoded[pc] = (d, run) + _EXECUTE[d.kind]
+            mem.code_top = max(mem.code_top, pc + 4)
+        d, run, execute, value = entry
+        # _make skips the NamedTuple's Python-level __new__: half the cost
+        if run:
+            return StepReport._make((d.kind, run(m)))
         m.pc = (pc + d.length) & M32  # a control transfer overwrites it
         try:
             extra = execute(m, d, pc, value)
@@ -559,8 +520,6 @@ class Cpu:
         stats.fetch_cycles += 1 + fetch_wait
         stats.decode_cycles += 1
         stats.regfile_cycles += 1
-        stats.alu_cycles += uses_alu
-        # _make skips the NamedTuple's Python-level __new__: half the cost
         return StepReport._make((d.kind, cycles))
 
     def run(self, budget=None, irq_schedule=(), config="BA"):
@@ -600,10 +559,10 @@ class Cpu:
                         continue
                     run_block, head, _ = blocks.get(m.pc) \
                         or _block_at(m.mem, m.pc)
-                    # step if the wake falls inside, or to trap on a fault
-                    if run_block is None or m.cycle + head >= wake \
-                            or run_block(m):
-                        step()
+                    if run_block is None or m.cycle + head >= wake:
+                        step()  # no block here, or the wake falls inside
+                    else:
+                        run_block(m)
         except SimError as exc:
             stats.stop_reason = "trap"
             stats.trap_cause = f"{type(exc).__name__}: {exc}"

@@ -61,7 +61,8 @@ class Memory:
     """Single flat byte-addressed region from address 0 with configurable
     access latency.
 
-    `decoded` caches the core's decoded instruction per pc and `blocks`
+    `decoded` caches the core's decoded instruction per pc, with the block
+    of one instruction that `step` runs for a translated kind, and `blocks`
     its translated block per start pc.  Every write drops the entries whose
     fetch windows (4 bytes from each instruction's pc) it overlaps, so a
     store into code is seen by the next fetch.  `code_top` is the end of the
@@ -75,7 +76,7 @@ class Memory:
         self.data = bytearray(size)
         self.read_latency = read_latency
         self.write_latency = write_latency
-        self.decoded = {}  # pc -> (decoded, executor, table value, uses_alu)
+        self.decoded = {}  # pc -> (decoded, block or False, executor, value)
         self.blocks = {}  # pc -> (run, head, end of its last fetch window)
         self.code_top = 0
 
@@ -137,7 +138,7 @@ class Machine:
         self.halted = False
         self.exit_code = 0
 
-    # -- LSU contract (used by both the ISA core and the MMUL engine) ------
+    # -- LSU contract (the MMUL engine's, and a faulting core access's) ---
 
     def load_word(self, addr):
         """Returns (value, latency_cycles); counts one memory read."""

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mmulrv import cli
 from mmulrv.cli import (EXIT_BUDGET, EXIT_ERROR, EXIT_OK, EXIT_TRAP, main)
 
 RUN_KEYS = {"config", "total_cycles", "retired", "mem_reads", "mem_writes",
@@ -193,12 +194,42 @@ RUN_ONCE = ["run", "--guest", "montmul_once"]
     (["selftest", "--words", "0", "--vectors", "2"],
      "--words must be at least 1"),
     (["selftest", "--vectors", "0"], "--vectors must be at least 1"),
+    (["run", "--guest", "irq_sweep_partial", "--config", "CI-PE",
+      "--irq", "-50"], "--irq cycles must be at least 0"),
+    (["run", "--guest", "irq_sweep_partial", "--config", "CI-PE",
+      "--sweep=-20:-10:1"], "--sweep start must be at least 0"),
+    (["run", "--guest", "x25519_ladder", "--config", "CI-AE",
+      "--set", "scalar_bits=0"], "scalar_bits must be in 1..32 at desk scale"),
 ], ids=["read-latency", "write-latency", "read-latency-zero",
         "write-latency-zero", "set-name", "run-words",
-        "selftest-words", "selftest-vectors"])
+        "selftest-words", "selftest-vectors", "irq-negative",
+        "sweep-negative-start", "scalar-bits-zero"])
 def test_bad_machine_or_guest_input_is_a_usage_error(capsys, argv, message):
     assert main(argv) == EXIT_ERROR
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_only_a_clean_run_gets_a_reference_run(capsys, monkeypatch):
+    """`run` reruns the guest under BA for normalized energy, which an
+    unclean run does not report: a trapped CI-AE run makes no BA run."""
+    configs = []
+    run_one = cli._run_one
+
+    def counted(args, config, **kwargs):
+        configs.append(config)
+        return run_one(args, config, **kwargs)
+
+    monkeypatch.setattr(cli, "_run_one", counted)
+    code, doc = _run_json(capsys, [
+        "run", "--guest", "x25519_ladder", "--config", "CI-AE",
+        "--words", "4"])
+    assert (code, doc["stop_reason"], configs) == (EXIT_TRAP, "trap",
+                                                   ["CI-AE"])
+    configs.clear()
+    code, doc = _run_json(capsys, [
+        "run", "--guest", "montmul_once", "--config", "CI-AE", *SMALL_FIELD])
+    assert (code, configs) == (EXIT_OK, ["CI-AE", "BA"])
+    assert doc["normalized_energy"] is not None
 
 
 def test_empty_sweep_rejected(capsys):
