@@ -501,7 +501,8 @@ class Cpu:
             run = d.kind in _TRANSLATED and _translate(
                 pc, (raw,), mem.read_latency, mem.write_latency)[0]
             entry = mem.decoded[pc] = (d, run) + _EXECUTE[d.kind]
-            mem.code_top = max(mem.code_top, pc + 4)
+            if pc + 4 > mem.code_top:
+                mem.code_top = pc + 4
         d, run, execute, value = entry
         # _make skips the NamedTuple's Python-level __new__: half the cost
         if run:
