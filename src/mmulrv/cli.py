@@ -339,6 +339,8 @@ def main(argv=None):
         for option in ("words", "vectors"):  # below 1, nothing would run
             if getattr(args, option, 1) < 1:
                 raise SimError(f"--{option} must be at least 1")
+        if (getattr(args, "budget", None) or 0) < 0:
+            raise SimError("--budget must be at least 0")
         return args.func(args)
     except SimError as exc:
         print(f"error: {exc}", file=sys.stderr)

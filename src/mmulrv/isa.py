@@ -7,11 +7,13 @@ below, the executor table is built from them, and the assembler derives
 its emitters from them.  The ALU, `lui`/`auipc`, load, store, branch and
 jump kinds have one implementation: `_translate` compiles a straight run
 of them, up to its first control transfer, into one generated Python
-function (QEMU's translation blocks).  `Cpu.run` runs such a block where
-that equals stepping, and `Cpu.step` runs each of these kinds as a block
-of one instruction.  A faulting access raises from inside its block, after
-the instructions before it retire.  MMUL, CSR, `mret`, `ecall`, `ebreak`
-and `fence` have hand-written executors instead.
+function (QEMU's translation blocks).  `Memory.blocks` keeps one entry
+per pc for both `Cpu.run` and `Cpu.step`: a block that splits itself,
+retiring only its first instruction when the wake falls before its last
+one starts, so `step` runs the first instruction of the block at its pc.
+A faulting access raises from inside its block, after the instructions
+before it retire.  MMUL, CSR, `mret`, `ecall`, `ebreak` and `fence` have
+hand-written executors instead.
 
 Timing: 1 cycle per retired instruction (covers a single-cycle fetch),
 +1 cycle per taken control transfer, plus memory wait-states beyond the
@@ -363,18 +365,17 @@ _EXECUTE = {
 }
 
 # The translated kinds, exactly those that use the ALU.  `step` runs one as
-# a block of one instruction; MMUL, CSR, mret, ecall, ebreak and fence keep
-# their executors and are never compiled.
+# the first instruction of its block; MMUL, CSR, mret, ecall, ebreak and
+# fence keep their executors and are never compiled.
 _TRANSLATED = {k for k, (case, _) in _EXECUTE.items() if isinstance(case, str)}
 
 
 @lru_cache(maxsize=1 << 12)
 def _translate(pc, raws, read_latency, write_latency):
-    """The block of fetch units `raws` at `pc` as (run, head, end): `run(m)`
-    retires it with `step`'s counts in bulk and returns its cycles, `head`
-    is the static cycles of all its instructions but the last, `end` the
-    end of its fetch windows.  `step` runs a translated kind as the block
-    of that one instruction.
+    """The block of fetch units `raws` at `pc` as (run, end): `run(m, limit)`
+    retires it with `step`'s counts in bulk and returns its cycles, or only
+    its first instruction if its last would start `limit` or more cycles
+    after the block does; `end` is the end of its fetch windows.
 
     An access that would fault retires the instructions before it, leaves
     m.pc at it and calls the machine's LSU, which raises; a store below
@@ -397,6 +398,8 @@ def _translate(pc, raws, read_latency, write_latency):
     for i, raw in enumerate(raws):
         d = decode(raw)
         case, value = _EXECUTE[d.kind]
+        if i == 1:  # where the first instruction alone retires
+            split = len(lines), retire(at)
         head, fault = cycles, retire(at, then="") if count else ""
         count += 1
         cycles += BASE_CPI + read_latency - 1
@@ -435,31 +438,34 @@ def _translate(pc, raws, read_latency, write_latency):
             after = "t"
         last, at = at, (at + d.length) & M32
     lines.append(retire(after))
+    if len(raws) > 1:  # `head`: the cycle at which the last one starts
+        lines.insert(split[0], f"if limit <= {head}: {split[1]}")
     namespace = {}
-    exec("def run(m):\n    " + "\n    ".join(lines), namespace)
-    return namespace["run"], head, last + 4
+    exec("def run(m, limit):\n    " + "\n    ".join(lines), namespace)
+    return namespace["run"], last + 4
 
 
 def _block_at(mem, pc):
-    """The block at `pc`, kept in `mem.blocks`; `run` is None where it steps.
-    Only a pc that `step` has decoded is translated: code run once, such as
-    straight-line code on a fresh machine, costs less to step."""
-    if pc not in mem.decoded:
-        return None, 0, 0
+    """The entry of `pc` in `mem.blocks`, made on its first visit: (its
+    block, or None where its instruction has an executor; that decode; the
+    end of its fetch windows).  A fault fetching or decoding the first unit
+    raises and caches nothing; a later one ends the block."""
+    raw = mem.fetch_unit(pc)
+    first = d = decode(raw)
     raws, at = [], pc
-    with suppress(SimError):  # a unit that cannot be fetched or decoded
-        while not raws or _EXECUTE[d.kind][0] not in ("branch", "jump"):
-            raw = mem.fetch_unit(at)
-            d = decode(raw)
-            if d.kind not in _TRANSLATED:
-                break
+    with suppress(SimError):
+        while d.kind in _TRANSLATED:
             raws.append(raw)
             at = (at + d.length) & M32
-    block = mem.blocks[pc] = _translate(
-        pc, tuple(raws), mem.read_latency, mem.write_latency) \
-        if raws else (None, 0, pc + 4)
-    mem.code_top = max(mem.code_top, block[2])
-    return block
+            if _EXECUTE[d.kind][0] in ("branch", "jump"):
+                break
+            raw = mem.fetch_unit(at)
+            d = decode(raw)
+    run, end = _translate(pc, tuple(raws), mem.read_latency,
+                          mem.write_latency) if raws else (None, pc + 4)
+    entry = mem.blocks[pc] = run, first, end
+    mem.code_top = max(mem.code_top, end)
+    return entry
 
 
 class Cpu:
@@ -485,40 +491,31 @@ class Cpu:
         """Retire one instruction (or take a pending enabled interrupt).
         A fault leaves m.pc at the faulting instruction.
 
-        Decoded instructions are cached per pc in `m.mem.decoded`, a
-        translated kind with its block of one instruction, which retires
-        it; a miss fetches and decodes, and caches nothing when either
-        raises."""
+        The instruction is looked up in `m.mem.blocks`, which `_block_at`
+        fills on a miss; a translated kind retires as `run(m, 1)`, the
+        first instruction of its block, and any other kind through its
+        executor."""
         m = self.m
         if m.irq_pending and m.interrupt_ready():
             return self._enter_interrupt()
         pc = m.pc
         mem = m.mem
-        entry = mem.decoded.get(pc)
-        if entry is None:
-            raw = mem.fetch_unit(pc)
-            d = decode(raw)
-            run = d.kind in _TRANSLATED and _translate(
-                pc, (raw,), mem.read_latency, mem.write_latency)[0]
-            entry = mem.decoded[pc] = (d, run) + _EXECUTE[d.kind]
-            if pc + 4 > mem.code_top:
-                mem.code_top = pc + 4
-        d, run, execute, value = entry
+        run, d, _ = mem.blocks.get(pc) or _block_at(mem, pc)
         # _make skips the NamedTuple's Python-level __new__: half the cost
         if run:
-            return StepReport._make((d.kind, run(m)))
+            return StepReport._make((d.kind, run(m, 1)))
+        execute, value = _EXECUTE[d.kind]
         m.pc = (pc + d.length) & M32  # a control transfer overwrites it
         try:
             extra = execute(m, d, pc, value)
         except SimError:
             m.pc = pc
             raise
-        fetch_wait = mem.read_latency - 1
-        cycles = BASE_CPI + fetch_wait + extra
+        cycles = BASE_CPI + mem.read_latency - 1 + extra
         m.cycle += cycles
         stats = m.stats
         stats.retired += 1
-        stats.fetch_cycles += 1 + fetch_wait
+        stats.fetch_cycles += mem.read_latency
         stats.decode_cycles += 1
         stats.regfile_cycles += 1
         return StepReport._make((d.kind, cycles))
@@ -530,9 +527,10 @@ class Cpu:
         only at a wake cycle: the next scheduled interrupt or the budget,
         whichever is first, and the run stops at the first instruction
         boundary at or past it.  Between wakes the loop runs a block in one
-        call when that equals stepping it: no enabled interrupt is pending
-        and the block's last instruction starts before the wake.  Otherwise,
-        and always when `step` is overridden or wrapped, it steps."""
+        call when no enabled interrupt is pending, and the block retires
+        only its first instruction when its last would start at or past the
+        wake.  Otherwise, and always when `step` is overridden or wrapped,
+        it steps."""
         m = self.m
         stats = m.stats
         stats.config = config
@@ -558,12 +556,12 @@ class Cpu:
                     if blocks is None or m.irq_pending and m.interrupt_ready():
                         step()
                         continue
-                    run_block, head, _ = blocks.get(m.pc) \
-                        or _block_at(m.mem, m.pc)
-                    if run_block is None or m.cycle + head >= wake:
-                        step()  # no block here, or the wake falls inside
+                    run_block = (blocks.get(m.pc)
+                                 or _block_at(m.mem, m.pc))[0]
+                    if run_block is None:
+                        step()
                     else:
-                        run_block(m)
+                        run_block(m, wake - m.cycle)
         except SimError as exc:
             stats.stop_reason = "trap"
             stats.trap_cause = f"{type(exc).__name__}: {exc}"

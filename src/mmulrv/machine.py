@@ -61,13 +61,13 @@ class Memory:
     """Single flat byte-addressed region from address 0 with configurable
     access latency.
 
-    `decoded` caches the core's decoded instruction per pc, with the block
-    of one instruction that `step` runs for a translated kind, and `blocks`
-    its translated block per start pc.  Every write drops the entries whose
-    fetch windows (4 bytes from each instruction's pc) it overlaps, so a
-    store into code is seen by the next fetch.  `code_top` is the end of the
-    highest window ever cached: a write at or above it, such as a data or
-    MMUL engine store, costs one comparison.
+    `blocks` is the core's one per-pc cache: the decode of the instruction
+    at a pc and, for a translated kind, the block that starts there.  Every
+    write drops the entries whose fetch windows (4 bytes from each of their
+    instructions' pcs) it overlaps, so a store into code is seen by the next
+    fetch.  `code_top` is the end of the highest window ever cached: a write
+    at or above it, such as a data or MMUL engine store, costs one
+    comparison.
     """
 
     def __init__(self, size=DEFAULT_MEM_SIZE, read_latency=1, write_latency=1):
@@ -76,8 +76,7 @@ class Memory:
         self.data = bytearray(size)
         self.read_latency = read_latency
         self.write_latency = write_latency
-        self.decoded = {}  # pc -> (decoded, block or False, executor, value)
-        self.blocks = {}  # pc -> (run, head, end of its last fetch window)
+        self.blocks = {}  # pc -> (run or None, first decode, end of windows)
         self.code_top = 0
 
     def _check(self, addr, nbytes):
@@ -112,10 +111,8 @@ class Memory:
             self._invalidate(base, base + len(blob))
 
     def _invalidate(self, start, end):
-        """Drop the decoded entries and blocks that [start, end) overlaps."""
-        decoded, blocks = self.decoded, self.blocks
-        for pc in [pc for pc in decoded if start - 4 < pc < end]:
-            del decoded[pc]
+        """Drop the blocks that [start, end) overlaps."""
+        blocks = self.blocks
         for pc in [p for p, b in blocks.items() if p < end and start < b[2]]:
             del blocks[pc]
 

@@ -1,8 +1,8 @@
 """The block path of `mmulrv.isa.Cpu.run` against the reference stepper.
 
-`Cpu.run` executes a translated block in one call when that equals
-stepping it.  Each program here reaches a block a second time, after its
-first pass has been stepped, so the block path runs it;
+`Cpu.run` executes a translated block in one call, and the block retires
+only its first instruction when the wake falls before its last one starts.
+Each program here runs its loop body as a block;
 `reference_core.ReferenceCpu`, which steps every instruction, runs it on a
 twin machine, and both must end in identical state at three memory latency
 pairs: a fault in the middle of a block, a budget or interrupt at every cycle
@@ -168,4 +168,29 @@ def test_wrapped_step_sees_every_instruction(wrap, monkeypatch):
     assert stats.stop_reason == "halt"
     assert len(stats.interrupt_latencies) == 1
     assert len(calls) == stats.retired + len(stats.interrupt_latencies)
-    assert m.mem.blocks == {}
+
+
+def test_step_and_run_share_the_block_at_a_pc(monkeypatch):
+    """`Cpu.step` at the head of a straight run caches that pc's block in
+    `m.mem.blocks`, and a `Cpu.run` from the same pc translates nothing
+    new there."""
+    code, loop = _loop(lambda a: [a.addi(5, 5, 1), a.addi(7, 7, 2)])
+    m = make_machine()
+    m.load_image(code, 0)
+    cpu = isa.Cpu(m)
+    while m.pc != loop:
+        cpu.step()
+    cpu.step()
+    assert _translated(m, loop)
+    translated = []
+    translate = isa._translate
+
+    def recorded(pc, *key):
+        translated.append(pc)
+        return translate(pc, *key)
+
+    monkeypatch.setattr(isa, "_translate", recorded)
+    m.pc = loop
+    assert cpu.run(budget=10_000).stop_reason == "halt"
+    assert m.regs.x[5] == PASSES + 1
+    assert translated and loop not in translated  # only the code after it

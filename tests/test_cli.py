@@ -200,10 +200,15 @@ RUN_ONCE = ["run", "--guest", "montmul_once"]
       "--sweep=-20:-10:1"], "--sweep start must be at least 0"),
     (["run", "--guest", "x25519_ladder", "--config", "CI-AE",
       "--set", "scalar_bits=0"], "scalar_bits must be in 1..32 at desk scale"),
+    (RUN_ONCE + ["--config", "CI-AE", "--set", "modulus=239", "--set",
+                 "words=1", "--budget", "-5"], "--budget must be at least 0"),
+    (["compare", "--guest", "montmul_once", "--budget", "-1"],
+     "--budget must be at least 0"),
 ], ids=["read-latency", "write-latency", "read-latency-zero",
         "write-latency-zero", "set-name", "run-words",
         "selftest-words", "selftest-vectors", "irq-negative",
-        "sweep-negative-start", "scalar-bits-zero"])
+        "sweep-negative-start", "scalar-bits-zero", "run-budget-negative",
+        "compare-budget-negative"])
 def test_bad_machine_or_guest_input_is_a_usage_error(capsys, argv, message):
     assert main(argv) == EXIT_ERROR
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -164,4 +164,4 @@ def test_faulting_fetch_caches_nothing():
     m = make_machine()  # all-zero memory: an illegal compressed unit at 0
     stats = isa.Cpu(m).run(budget=100)
     assert (stats.stop_reason, stats.trap_pc, m.pc) == ("trap", 0, 0)
-    assert m.mem.decoded == {}
+    assert m.mem.blocks == {}
