@@ -453,18 +453,21 @@ def _block_at(mem, pc):
     raw = mem.fetch_unit(pc)
     first = d = decode(raw)
     raws, at = [], pc
-    with suppress(SimError):
-        while d.kind in _TRANSLATED:
-            raws.append(raw)
-            at = (at + d.length) & M32
-            if _EXECUTE[d.kind][0] in ("branch", "jump"):
-                break
+    while d.kind in _TRANSLATED:
+        raws.append(raw)
+        at = (at + d.length) & M32
+        if _EXECUTE[d.kind][0] in ("branch", "jump"):
+            break
+        try:
             raw = mem.fetch_unit(at)
             d = decode(raw)
+        except SimError:
+            break
     run, end = _translate(pc, tuple(raws), mem.read_latency,
                           mem.write_latency) if raws else (None, pc + 4)
     entry = mem.blocks[pc] = run, first, end
-    mem.code_top = max(mem.code_top, end)
+    if end > mem.code_top:  # cheaper than max() on every first visit
+        mem.code_top = end
     return entry
 
 
@@ -556,8 +559,7 @@ class Cpu:
                     if blocks is None or m.irq_pending and m.interrupt_ready():
                         step()
                         continue
-                    run_block = (blocks.get(m.pc)
-                                 or _block_at(m.mem, m.pc))[0]
+                    run_block = (blocks.get(m.pc) or _block_at(m.mem, m.pc))[0]
                     if run_block is None:
                         step()
                     else:

@@ -174,7 +174,11 @@ def test_step_and_run_share_the_block_at_a_pc(monkeypatch):
     """`Cpu.step` at the head of a straight run caches that pc's block in
     `m.mem.blocks`, and a `Cpu.run` from the same pc translates nothing
     new there."""
-    code, loop = _loop(lambda a: [a.addi(5, 5, 1), a.addi(7, 7, 2)])
+    def body(a):
+        a.addi(5, 5, 1)
+        a.addi(7, 7, 2)
+
+    code, loop = _loop(body)
     m = make_machine()
     m.load_image(code, 0)
     cpu = isa.Cpu(m)
