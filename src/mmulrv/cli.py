@@ -135,8 +135,12 @@ def _write(args, doc, table):
     """doc as JSON or as the text `table(doc)`, to --out or stdout."""
     text = json.dumps(doc, indent=2) if args.format == "json" else table(doc)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SimError(f"cannot write --out {args.out}: "
+                           f"{exc.strerror}") from exc
     else:
         print(text)
 

@@ -34,6 +34,10 @@ class FieldContext:
     words: int
 
     def __post_init__(self):
+        if self.words < 1:
+            raise InvalidConfig("words must be at least 1")
+        if self.modulus < 1:
+            raise InvalidConfig("field modulus must be at least 1")
         if self.modulus % 2 == 0:
             raise InvalidConfig("field modulus must be odd")
         if self.modulus >= 1 << self.n_bits:

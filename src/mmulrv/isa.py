@@ -7,13 +7,13 @@ below, the executor table is built from them, and the assembler derives
 its emitters from them.  The ALU, `lui`/`auipc`, load, store, branch and
 jump kinds have one implementation: `_translate` compiles a straight run
 of them, up to its first control transfer, into one generated Python
-function (QEMU's translation blocks).  `Memory.blocks` keeps one entry
-per pc for both `Cpu.run` and `Cpu.step`: a block that splits itself,
-retiring only its first instruction when the wake falls before its last
-one starts, so `step` runs the first instruction of the block at its pc.
-A faulting access raises from inside its block, after the instructions
-before it retire.  MMUL, CSR, `mret`, `ecall`, `ebreak` and `fence` have
-hand-written executors instead.
+function (QEMU's translation blocks).  MMUL, CSR, `mret`, `ecall`,
+`ebreak` and `fence` have hand-written executors instead, each run as a
+one-instruction block.  `Memory.blocks` keeps one block per pc for both
+`Cpu.run` and `Cpu.step`; a block splits itself, retiring only its first
+instruction when the wake falls before its last one starts, so `step`
+runs the first instruction of the block at its pc.  A faulting access
+raises from inside its block, after the instructions before it retire.
 
 Timing: 1 cycle per retired instruction (covers a single-cycle fetch),
 +1 cycle per taken control transfer, plus memory wait-states beyond the
@@ -24,7 +24,7 @@ model is fixed and the same for BA/CI-AE/CI-PE.
 
 import math
 from contextlib import suppress
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .encoding import (OPCODE_AUIPC, OPCODE_BRANCH, OPCODE_CUSTOM0, OPCODE_JAL,
@@ -364,9 +364,8 @@ _EXECUTE = {
     **{kind: (_csr, spec) for kind, spec in _CSR.values()},
 }
 
-# The translated kinds, exactly those that use the ALU.  `step` runs one as
-# the first instruction of its block; MMUL, CSR, mret, ecall, ebreak and
-# fence keep their executors and are never compiled.
+# The translated kinds, exactly those that use the ALU.  MMUL, CSR, mret,
+# ecall, ebreak and fence keep their executors and are never compiled.
 _TRANSLATED = {k for k, (case, _) in _EXECUTE.items() if isinstance(case, str)}
 
 
@@ -445,11 +444,32 @@ def _translate(pc, raws, read_latency, write_latency):
     return namespace["run"], last + 4
 
 
+def _executed(d, pc, m, limit):
+    """The one-instruction block of `d` at `pc`, a kind with an executor,
+    which `limit` does not split.  A fault leaves m.pc at the instruction."""
+    execute, value = _EXECUTE[d.kind]
+    m.pc = (pc + d.length) & M32  # a control transfer overwrites it
+    try:
+        extra = execute(m, d, pc, value)
+    except SimError:
+        m.pc = pc
+        raise
+    read_latency = m.mem.read_latency
+    cycles = BASE_CPI + read_latency - 1 + extra
+    m.cycle += cycles
+    stats = m.stats
+    stats.retired += 1
+    stats.fetch_cycles += read_latency
+    stats.decode_cycles += 1
+    stats.regfile_cycles += 1
+    return cycles
+
+
 def _block_at(mem, pc):
     """The entry of `pc` in `mem.blocks`, made on its first visit: (its
-    block, or None where its instruction has an executor; that decode; the
-    end of its fetch windows).  A fault fetching or decoding the first unit
-    raises and caches nothing; a later one ends the block."""
+    block, translated or, for a kind with an executor, `_executed`; that
+    decode; the end of its fetch windows).  A fault fetching or decoding
+    the first unit raises and caches nothing; a later one ends the block."""
     raw = mem.fetch_unit(pc)
     first = d = decode(raw)
     raws, at = [], pc
@@ -463,8 +483,8 @@ def _block_at(mem, pc):
             d = decode(raw)
         except SimError:
             break
-    run, end = _translate(pc, tuple(raws), mem.read_latency,
-                          mem.write_latency) if raws else (None, pc + 4)
+    run, end = (partial(_executed, first, pc), pc + 4) if not raws else \
+        _translate(pc, tuple(raws), mem.read_latency, mem.write_latency)
     entry = mem.blocks[pc] = run, first, end
     if end > mem.code_top:  # cheaper than max() on every first visit
         mem.code_top = end
@@ -494,34 +514,15 @@ class Cpu:
         """Retire one instruction (or take a pending enabled interrupt).
         A fault leaves m.pc at the faulting instruction.
 
-        The instruction is looked up in `m.mem.blocks`, which `_block_at`
-        fills on a miss; a translated kind retires as `run(m, 1)`, the
-        first instruction of its block, and any other kind through its
-        executor."""
+        The instruction retires as `run(m, 1)`, the first instruction of
+        the block at its pc in `m.mem.blocks`, which `_block_at` fills on a
+        miss."""
         m = self.m
         if m.irq_pending and m.interrupt_ready():
             return self._enter_interrupt()
-        pc = m.pc
-        mem = m.mem
-        run, d, _ = mem.blocks.get(pc) or _block_at(mem, pc)
+        run, d, _ = m.mem.blocks.get(m.pc) or _block_at(m.mem, m.pc)
         # _make skips the NamedTuple's Python-level __new__: half the cost
-        if run:
-            return StepReport._make((d.kind, run(m, 1)))
-        execute, value = _EXECUTE[d.kind]
-        m.pc = (pc + d.length) & M32  # a control transfer overwrites it
-        try:
-            extra = execute(m, d, pc, value)
-        except SimError:
-            m.pc = pc
-            raise
-        cycles = BASE_CPI + mem.read_latency - 1 + extra
-        m.cycle += cycles
-        stats = m.stats
-        stats.retired += 1
-        stats.fetch_cycles += mem.read_latency
-        stats.decode_cycles += 1
-        stats.regfile_cycles += 1
-        return StepReport._make((d.kind, cycles))
+        return StepReport._make((d.kind, run(m, 1)))
 
     def run(self, budget=None, irq_schedule=(), config="BA"):
         """Step until a stop condition; returns populated RunStats.
@@ -529,11 +530,11 @@ class Cpu:
         Scheduled interrupts are raised, and the halt and budget checked,
         only at a wake cycle: the next scheduled interrupt or the budget,
         whichever is first, and the run stops at the first instruction
-        boundary at or past it.  Between wakes the loop runs a block in one
-        call when no enabled interrupt is pending, and the block retires
-        only its first instruction when its last would start at or past the
-        wake.  Otherwise, and always when `step` is overridden or wrapped,
-        it steps."""
+        boundary at or past it.  Between wakes, when no enabled interrupt
+        is pending, the loop runs the block at the pc in one call: every pc
+        has one, and a block retires only its first instruction when its
+        last would start at or past the wake.  Otherwise, and always when
+        `step` is overridden or wrapped, it steps."""
         m = self.m
         stats = m.stats
         stats.config = config
@@ -558,12 +559,9 @@ class Cpu:
                 while m.cycle < wake and not m.halted:
                     if blocks is None or m.irq_pending and m.interrupt_ready():
                         step()
-                        continue
-                    run_block = (blocks.get(m.pc) or _block_at(m.mem, m.pc))[0]
-                    if run_block is None:
-                        step()
                     else:
-                        run_block(m, wake - m.cycle)
+                        (blocks.get(m.pc) or _block_at(m.mem, m.pc))[0](
+                            m, wake - m.cycle)
         except SimError as exc:
             stats.stop_reason = "trap"
             stats.trap_cause = f"{type(exc).__name__}: {exc}"

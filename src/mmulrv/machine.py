@@ -61,13 +61,12 @@ class Memory:
     """Single flat byte-addressed region from address 0 with configurable
     access latency.
 
-    `blocks` is the core's one per-pc cache: the decode of the instruction
-    at a pc and, for a translated kind, the block that starts there.  Every
-    write drops the entries whose fetch windows (4 bytes from each of their
-    instructions' pcs) it overlaps, so a store into code is seen by the next
-    fetch.  `code_top` is the end of the highest window ever cached: a write
-    at or above it, such as a data or MMUL engine store, costs one
-    comparison.
+    `blocks` is the core's one per-pc cache: the block that starts at a pc
+    and the decode of its first instruction.  Every write drops the entries
+    whose fetch windows (4 bytes from each of their instructions' pcs) it
+    overlaps, so a store into code is seen by the next fetch.  `code_top` is
+    the end of the highest window ever cached: a write at or above it, such
+    as a data or MMUL engine store, costs one comparison.
     """
 
     def __init__(self, size=DEFAULT_MEM_SIZE, read_latency=1, write_latency=1):
@@ -76,7 +75,7 @@ class Memory:
         self.data = bytearray(size)
         self.read_latency = read_latency
         self.write_latency = write_latency
-        self.blocks = {}  # pc -> (run or None, first decode, end of windows)
+        self.blocks = {}  # pc -> (run, first decode, end of windows)
         self.code_top = 0
 
     def _check(self, addr, nbytes):

@@ -51,8 +51,8 @@ def _loop(body, setup=()):
 
 
 def _translated(m, pc):
-    run_block = m.mem.blocks.get(pc, (None,))[0]
-    return run_block is not None
+    """A block of more than one instruction starts at pc."""
+    return pc in m.mem.blocks and m.mem.blocks[pc][2] > pc + 4
 
 
 def _access(kind, start, stride):
@@ -198,3 +198,24 @@ def test_step_and_run_share_the_block_at_a_pc(monkeypatch):
     assert cpu.run(budget=10_000).stop_reason == "halt"
     assert m.regs.x[5] == PASSES + 1
     assert translated and loop not in translated  # only the code after it
+
+
+def test_every_instruction_retires_through_one_block_lookup():
+    """Every entry of `m.mem.blocks` holds a callable block, an executor
+    kind's included, so the run loop looks a pc up once per block it runs:
+    the CI-PE montmul's 257 MMUL issues take no second lookup in `step`."""
+    class Counting(dict):
+        gets = 0
+
+        def get(self, *key):
+            self.gets += 1
+            return super().get(*key)
+
+    guest = build_guest("montmul_once", "CI-PE", {"words": 8})
+    m = make_machine()
+    m.mem.blocks = blocks = Counting()
+    guest.load(m)
+    stats = isa.Cpu(m).run(budget=guest.budget_hint)
+    assert stats.stop_reason == "halt"
+    assert all(callable(run) for run, _, _ in blocks.values())
+    assert blocks.gets <= stats.retired

@@ -119,6 +119,15 @@ def test_run_writes_output_file(tmp_path, capsys):
     assert RUN_KEYS <= set(doc)
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code = main(RUN_ONCE + ["--config", "CI-AE", "--set", "modulus=239",
+                            "--set", "words=1", "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: cannot write --out {out}: No such file or directory\n")
+
+
 def test_run_with_interrupt(capsys):
     code, doc = _run_json(capsys, [
         "run", "--guest", "irq_sweep_atomic", "--config", "CI-AE",
@@ -204,11 +213,17 @@ RUN_ONCE = ["run", "--guest", "montmul_once"]
                  "words=1", "--budget", "-5"], "--budget must be at least 0"),
     (["compare", "--guest", "montmul_once", "--budget", "-1"],
      "--budget must be at least 0"),
+    (RUN_ONCE + ["--set", "modulus=-7", "--set", "words=1"],
+     "field modulus must be at least 1"),
+    (RUN_ONCE + ["--set", "words=-1"], "words must be at least 1"),
+    (["compare", "--guest", "montmul_once", "--set", "words=0"],
+     "words must be at least 1"),
 ], ids=["read-latency", "write-latency", "read-latency-zero",
         "write-latency-zero", "set-name", "run-words",
         "selftest-words", "selftest-vectors", "irq-negative",
         "sweep-negative-start", "scalar-bits-zero", "run-budget-negative",
-        "compare-budget-negative"])
+        "compare-budget-negative", "set-modulus-negative",
+        "set-words-negative", "compare-set-words-zero"])
 def test_bad_machine_or_guest_input_is_a_usage_error(capsys, argv, message):
     assert main(argv) == EXIT_ERROR
     assert capsys.readouterr().err == f"error: {message}\n"

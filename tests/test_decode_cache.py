@@ -1,8 +1,8 @@
-"""Self-modifying code against the decoded-instruction cache.
+"""Self-modifying code against the per-pc block cache, `Memory.blocks`.
 
-`mmulrv.isa.Cpu` caches each decoded instruction by pc; a store, an MMUL
-result or a loaded image that overlaps a cached fetch window must drop the
-entry.  Each program rewrites code it has already executed, and
+`mmulrv.isa.Cpu` caches the block that starts at each pc, with the decode
+of its first instruction; a store, an MMUL result or a loaded image that
+overlaps a cached fetch window must drop the entry.  Each program rewrites code it has already executed, and
 `reference_core.ReferenceCpu`, which fetches and decodes every instruction,
 runs it on a twin machine: both must end in identical state, and the result
 register shows that the rewritten instruction is the one that ran.
