@@ -132,17 +132,10 @@ def _report(stats, reference):
 
 
 def _write(args, doc, table):
-    """doc as JSON or as the text `table(doc)`, to --out or stdout."""
+    """doc as JSON or as the text `table(doc)`, to the --out file that
+    `main` opened or to stdout."""
     text = json.dumps(doc, indent=2) if args.format == "json" else table(doc)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise SimError(f"cannot write --out {args.out}: "
-                           f"{exc.strerror}") from exc
-    else:
-        print(text)
+    print(text, file=args.out)
 
 
 def _run_table(doc):
@@ -345,7 +338,16 @@ def main(argv=None):
                 raise SimError(f"--{option} must be at least 1")
         if (getattr(args, "budget", None) or 0) < 0:
             raise SimError("--budget must be at least 0")
-        return args.func(args)
+        path = getattr(args, "out", None)
+        if path is None:
+            return args.func(args)
+        try:  # before the runs, so that a bad path costs no simulation
+            args.out = open(path, "w")
+        except OSError as exc:
+            raise SimError(f"cannot write --out {path}: "
+                           f"{exc.strerror}") from exc
+        with args.out:
+            return args.func(args)
     except SimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

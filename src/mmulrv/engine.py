@@ -10,6 +10,9 @@ Two execution shapes:
   * partial - one call per bit; the first call loads operands, the last call
     performs the final subtraction and stores the result.  State persists in
     the engine between calls so interrupts can be serviced in between.
+
+Both advance the latched operation through `advance`, the one home of the
+recurrence, which the core also calls to retire k middle issues at once.
 """
 
 from dataclasses import dataclass
@@ -69,6 +72,10 @@ class PartialCallResult:
     cycles: int
 
 
+BIT_CYCLES = 2  # one bit of the recurrence, a middle partial call's cost
+_MIDDLE = PartialCallResult("middle", BIT_CYCLES)
+
+
 def address_generate(base, word_offset):
     """ALU address path: base + 4 * word_offset, wrapping 32-bit."""
     return (base + 4 * word_offset) & 0xFFFFFFFF
@@ -78,8 +85,8 @@ class MmulEngine:
     """Sub-state of one machine; single-threaded stepping only.
 
     One datapath serves both modes: `_begin` latches an operation,
-    `_process_bit` advances it by one bit and `_finish` retires it.  An atomic
-    call runs all three; partial calls spread them over n_bits issues.
+    `advance` runs k bits of it and `_finish` retires it.  An atomic call
+    runs all three; partial calls spread them over n_bits issues.
     """
 
     def __init__(self, max_words=8):
@@ -90,7 +97,7 @@ class MmulEngine:
         self.latched = None
         self.s_accum = 0
         self.bit_index = 0
-        self.buf_a = 0
+        self.bits_a = ""  # A in binary, bit i at index i
         self.buf_b = 0
         self.buf_n = 0
 
@@ -127,20 +134,30 @@ class MmulEngine:
             bufs.append(value)
         if bufs[2] % 2 == 0:
             raise EvenModulus("modulus loaded from memory is even")
-        self.buf_a, self.buf_b, self.buf_n = bufs
+        a, self.buf_b, self.buf_n = bufs
+        self.bits_a = f"{a:0{ops.n_bits}b}"[::-1]
         self.s_accum = 0
         self.bit_index = 0
         self.latched = ops
         return cycles
 
-    def _process_bit(self):
-        s = self.s_accum
-        if (self.buf_a >> self.bit_index) & 1:
-            s += self.buf_b
-        if s & 1:
-            s += self.buf_n
-        self.s_accum = s >> 1
-        self.bit_index += 1
+    def advance(self, k):
+        """k bits of the latched operation: for each bit a_i of A from
+        `bit_index` on, S += a_i * B; if S is odd, S += N; S >>= 1."""
+        i = self.bit_index
+        b, n, s = self.buf_b, self.buf_n, self.s_accum
+        for bit in self.bits_a[i:i + k]:
+            if bit == "1":
+                s += b
+            if s & 1:
+                s += n
+            s >>= 1
+        self.s_accum = s
+        self.bit_index = i + k
+
+    def middle_left(self):
+        """The middle calls left in the latched sequence."""
+        return self.latched.n_bits - 1 - self.bit_index
 
     def _finish(self, machine):
         """Final subtraction and the words result stores; the engine is idle
@@ -169,10 +186,10 @@ class MmulEngine:
                 "atomic MMUL issued while a partial sequence is in flight")
         cycles = self._begin(machine, ops)
         n_bits = ops.n_bits
-        for _ in range(n_bits):
-            self._process_bit()
-        cycles += 2 * n_bits + self._finish(machine)
-        return AtomicResult(cycles=cycles, compute_cycles=2 * n_bits + 1,
+        self.advance(n_bits)
+        cycles += BIT_CYCLES * n_bits + self._finish(machine)
+        return AtomicResult(cycles=cycles,
+                            compute_cycles=BIT_CYCLES * n_bits + 1,
                             loads=3 * ops.words, stores=ops.words)
 
     def execute_partial_call(self, machine, ops):
@@ -185,10 +202,10 @@ class MmulEngine:
         operands: the latched operation drives progress.
         """
         if not self.busy:
-            cycles = self._begin(machine, ops) + 2
-            self._process_bit()
+            cycles = self._begin(machine, ops) + BIT_CYCLES
+            self.advance(1)
             return PartialCallResult("first", cycles)
-        self._process_bit()
+        self.advance(1)
         if self.bit_index < self.latched.n_bits:
-            return PartialCallResult("middle", 2)
-        return PartialCallResult("last", 2 + self._finish(machine))
+            return _MIDDLE
+        return PartialCallResult("last", BIT_CYCLES + self._finish(machine))

@@ -9,11 +9,18 @@ jump kinds have one implementation: `_translate` compiles a straight run
 of them, up to its first control transfer, into one generated Python
 function (QEMU's translation blocks).  MMUL, CSR, `mret`, `ecall`,
 `ebreak` and `fence` have hand-written executors instead, each run as a
-one-instruction block.  `Memory.blocks` keeps one block per pc for both
-`Cpu.run` and `Cpu.step`; a block splits itself, retiring only its first
-instruction when the wake falls before its last one starts, so `step`
-runs the first instruction of the block at its pc.  A faulting access
-raises from inside its block, after the instructions before it retire.
+one-instruction block, except that a straight run of MMUL units is one
+block: a middle issue of a partial sequence costs a fixed number of cycles,
+so the run retires in one call, with k bit steps of the engine, the middle
+issues that start before the wake.  A first, last or atomic issue, and one
+from a trap handler, retires alone through its executor.  `Memory.blocks`
+keeps one block per pc for both `Cpu.run` and `Cpu.step`; a block splits
+itself at the wake, a translated one retiring only its first instruction
+when the wake falls before its last one starts, so `step` runs the first
+instruction of the block at its pc.  Machines that
+load the same image share its blocks until one of them writes into it
+(see `Memory`).  A faulting access raises from inside its block, after the
+instructions before it retire.
 
 Timing: 1 cycle per retired instruction (covers a single-cycle fetch),
 +1 cycle per taken control transfer, plus memory wait-states beyond the
@@ -32,7 +39,7 @@ from .encoding import (OPCODE_AUIPC, OPCODE_BRANCH, OPCODE_CUSTOM0, OPCODE_JAL,
                        OPCODE_OP, OPCODE_OP_IMM, OPCODE_STORE, OPCODE_SYSTEM,
                        decode_r4, encode_b, encode_i, encode_j, encode_r,
                        encode_s, encode_u)
-from .engine import MmulOperands
+from .engine import BIT_CYCLES, MmulOperands
 from .errors import IllegalInstruction, SequenceBroken, SimError
 from .machine import (CAUSE_MEXT_IRQ, M32, MCAUSE, MEPC, MMUL_MODE, MSTATUS,
                       MSTATUS_MIE, MSTATUS_MPIE, MTVEC)
@@ -465,14 +472,55 @@ def _executed(d, pc, m, limit):
     return cycles
 
 
+def _mmul_run(d, pc, count, cost, m, limit):
+    """The block of `count` consecutive MMUL units at `pc`, `d` the first.
+    A first or atomic issue, the last issue of a sequence and an issue from
+    a trap handler retire alone through `_executed`.  Any other issue is a
+    middle one of `cost` cycles, so one call retires k of them with k bit
+    steps and every counter `_executed` adds, k times: all the middle
+    issues left in the run and in the latched sequence or, when the wake
+    falls among them, those that start before it."""
+    engine = m.engine
+    if engine.latched is None or m.in_handler:
+        return _executed(d, pc, m, limit)
+    k = min(count, engine.middle_left())
+    if limit < k * cost:  # the wake falls among them: those before it
+        k = -(-limit // cost)
+    if not k:  # the last issue
+        return _executed(d, pc, m, limit)
+    engine.advance(k)
+    m.pc = pc + 4 * k
+    cycles = k * cost
+    m.cycle += cycles
+    stats = m.stats
+    stats.retired += k
+    stats.fetch_cycles += k * m.mem.read_latency
+    stats.decode_cycles += k
+    stats.regfile_cycles += k
+    stats.mmul_cycles += k * BIT_CYCLES
+    return cycles
+
+
 def _block_at(mem, pc):
     """The entry of `pc` in `mem.blocks`, made on its first visit: (its
-    block, translated or, for a kind with an executor, `_executed`; that
-    decode; the end of its fetch windows).  A fault fetching or decoding
-    the first unit raises and caches nothing; a later one ends the block."""
+    block, translated, an MMUL run or, for another kind with an executor,
+    `_executed`; that decode; the end of its fetch windows).  A fault
+    fetching or decoding the first unit raises and caches nothing; a later
+    one ends the block.  An entry whose windows lie inside the image the
+    memory shares its blocks for is added to that image's table."""
     raw = mem.fetch_unit(pc)
     first = d = decode(raw)
     raws, at = [], pc
+    if d.kind == "mmul":
+        try:
+            while decode(mem.fetch_unit(at + 4)).kind == "mmul":
+                at += 4
+        except SimError:
+            pass
+        count = (at - pc) // 4 + 1
+        run = partial(_mmul_run, first, pc, count,
+                      BASE_CPI + mem.read_latency - 1 + BIT_CYCLES)
+        return mem.keep(pc, (run, first, at + 4))
     while d.kind in _TRANSLATED:
         raws.append(raw)
         at = (at + d.length) & M32
@@ -485,10 +533,7 @@ def _block_at(mem, pc):
             break
     run, end = (partial(_executed, first, pc), pc + 4) if not raws else \
         _translate(pc, tuple(raws), mem.read_latency, mem.write_latency)
-    entry = mem.blocks[pc] = run, first, end
-    if end > mem.code_top:  # cheaper than max() on every first visit
-        mem.code_top = end
-    return entry
+    return mem.keep(pc, (run, first, end))
 
 
 class Cpu:
@@ -532,9 +577,9 @@ class Cpu:
         whichever is first, and the run stops at the first instruction
         boundary at or past it.  Between wakes, when no enabled interrupt
         is pending, the loop runs the block at the pc in one call: every pc
-        has one, and a block retires only its first instruction when its
-        last would start at or past the wake.  Otherwise, and always when
-        `step` is overridden or wrapped, it steps."""
+        has one, and a block retires no instruction that would start at or
+        past the wake, except its first.  Otherwise, and always when `step`
+        is overridden or wrapped, it steps."""
         m = self.m
         stats = m.stats
         stats.config = config

@@ -57,16 +57,31 @@ class RegisterFile:
             self.x[idx] = value & M32
 
 
+SHARED_IMAGES = 16  # the images whose blocks one process keeps
+# (image bytes, base, read latency, write latency) -> {pc: blocks entry},
+# oldest image first; an image gets its table when its first entry is made
+_shared = {}
+
+
 class Memory:
     """Single flat byte-addressed region from address 0 with configurable
     access latency.
 
     `blocks` is the core's one per-pc cache: the block that starts at a pc
+    (a translated run, a run of MMUL units or one executor instruction)
     and the decode of its first instruction.  Every write drops the entries
     whose fetch windows (4 bytes from each of their instructions' pcs) it
     overlaps, so a store into code is seen by the next fetch.  `code_top` is
     the end of the highest window ever cached: a write at or above it, such
     as a data or MMUL engine store, costs one comparison.
+
+    Blocks depend only on their bytes and the latencies, so memories that
+    load the same image share them.  The first image loaded into a fresh
+    memory starts from the entries earlier memories made inside the same
+    image at the same latencies, and `code_top` rises to its end.  Each entry
+    this memory makes inside the image joins that table, until the first
+    write below `code_top`, which ends the sharing for good: from then on the
+    image may no longer hold its own bytes.
     """
 
     def __init__(self, size=DEFAULT_MEM_SIZE, read_latency=1, write_latency=1):
@@ -77,6 +92,7 @@ class Memory:
         self.write_latency = write_latency
         self.blocks = {}  # pc -> (run, first decode, end of windows)
         self.code_top = 0
+        self.image = None  # the _shared key of the image it shares blocks of
 
     def _check(self, addr, nbytes):
         if addr < 0 or addr + nbytes > len(self.data):
@@ -108,9 +124,34 @@ class Memory:
         self.data[base:base + len(blob)] = blob
         if base < self.code_top:
             self._invalidate(base, base + len(blob))
+        elif not self.code_top and blob:  # the first image of a fresh memory
+            self.image = bytes(blob), base, self.read_latency, \
+                self.write_latency
+            self.blocks.update(_shared.get(self.image, ()))
+            self.code_top = base + len(blob)
+
+    def keep(self, pc, entry):
+        """Cache the blocks entry of `pc`, and share it while this memory
+        shares its image's blocks and the entry's windows lie inside it;
+        returns the entry."""
+        self.blocks[pc] = entry
+        end = entry[2]
+        if end > self.code_top:  # cheaper than max() on every first visit
+            self.code_top = end
+        if self.image is not None:
+            image, base = self.image[:2]
+            if base <= pc and end <= base + len(image):
+                table = _shared.get(self.image)
+                if table is None:
+                    if len(_shared) >= SHARED_IMAGES:
+                        del _shared[next(iter(_shared))]
+                    table = _shared[self.image] = {}
+                table[pc] = entry
+        return entry
 
     def _invalidate(self, start, end):
-        """Drop the blocks that [start, end) overlaps."""
+        """Drop the blocks that [start, end) overlaps, and stop sharing."""
+        self.image = None
         blocks = self.blocks
         for pc in [p for p, b in blocks.items() if p < end and start < b[2]]:
             del blocks[pc]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mmulrv import machine as machine_module
 from mmulrv.guests import build_guest
 from mmulrv.isa import Cpu
 from mmulrv.machine import DATA_BASE, Machine, Memory
@@ -74,6 +75,14 @@ def rng():
 @pytest.fixture
 def machine():
     return make_machine()
+
+
+@pytest.fixture
+def unshared(monkeypatch):
+    """An empty process-wide table of shared blocks for the test: its
+    machines make every block themselves, whatever ran before it."""
+    monkeypatch.setattr(machine_module, "_shared", {})
+    return machine_module._shared
 
 
 __all__ = ["build_guest", "machine_state", "make_machine", "mont_oracle",

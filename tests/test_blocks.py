@@ -170,7 +170,7 @@ def test_wrapped_step_sees_every_instruction(wrap, monkeypatch):
     assert len(calls) == stats.retired + len(stats.interrupt_latencies)
 
 
-def test_step_and_run_share_the_block_at_a_pc(monkeypatch):
+def test_step_and_run_share_the_block_at_a_pc(monkeypatch, unshared):
     """`Cpu.step` at the head of a straight run caches that pc's block in
     `m.mem.blocks`, and a `Cpu.run` from the same pc translates nothing
     new there."""
@@ -200,7 +200,7 @@ def test_step_and_run_share_the_block_at_a_pc(monkeypatch):
     assert translated and loop not in translated  # only the code after it
 
 
-def test_every_instruction_retires_through_one_block_lookup():
+def test_every_instruction_retires_through_one_block_lookup(unshared):
     """Every entry of `m.mem.blocks` holds a callable block, an executor
     kind's included, so the run loop looks a pc up once per block it runs:
     the CI-PE montmul's 257 MMUL issues take no second lookup in `step`."""

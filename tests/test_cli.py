@@ -119,13 +119,17 @@ def test_run_writes_output_file(tmp_path, capsys):
     assert RUN_KEYS <= set(doc)
 
 
-def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    """The --out file is opened before the runs: no guest runs at all."""
+    runs = []
+    monkeypatch.setattr(cli.Cpu, "run", lambda *a, **k: runs.append(a))
     out = tmp_path / "missing" / "report.json"
-    code = main(RUN_ONCE + ["--config", "CI-AE", "--set", "modulus=239",
-                            "--set", "words=1", "--out", str(out)])
-    assert code == EXIT_ERROR
-    assert capsys.readouterr().err == (
-        f"error: cannot write --out {out}: No such file or directory\n")
+    for argv in (["run", "--guest", "montmul_once", "--config", "CI-AE",
+                  *SMALL_FIELD], ["compare", "--guest", "x25519_ladder"]):
+        code = main(argv + ["--out", str(out)])
+        assert (code, runs) == (EXIT_ERROR, [])
+        assert capsys.readouterr().err == (
+            f"error: cannot write --out {out}: No such file or directory\n")
 
 
 def test_run_with_interrupt(capsys):

@@ -160,8 +160,10 @@ def test_load_image_over_cached_code(base, blob):
     assert machines[0].regs.x[5] == 0x107
 
 
-def test_faulting_fetch_caches_nothing():
+def test_faulting_fetch_caches_nothing(unshared):
+    """Nor does it share anything for the image it faults in."""
     m = make_machine()  # all-zero memory: an illegal compressed unit at 0
+    m.load_image(bytes(8), 0)
     stats = isa.Cpu(m).run(budget=100)
     assert (stats.stop_reason, stats.trap_pc, m.pc) == ("trap", 0, 0)
-    assert m.mem.blocks == {}
+    assert m.mem.blocks == unshared == {}
