@@ -24,7 +24,7 @@ from mmulrv.machine import DATA_BASE, MEI_BIT, MIE, MIP, MMUL_MODE, MSTATUS, \
 from reference_core import ReferenceCpu
 
 LATENCIES = [(1, 1), (2, 3), (3, 1)]
-N = 0xFFFFFFFB  # operands of every sequence, one or two words
+MODULUS = {1: 0xFFFFFFFB, 2: (1 << 64) - 59}  # by operand words
 A, B = 0x12345678, 0x9ABCDEF1
 RESULT = DATA_BASE + 0x100
 
@@ -64,7 +64,7 @@ def _program(words, shape, harness=False, handler_mmul=False):
             a.csrrwi(0, MMUL_MODE, step[1])
     a.li(10, 0)
     a.ecall()
-    n = N if words == 1 else (1 << 64) - 59
+    n = MODULUS[words]
     data = b"".join(v.to_bytes(4 * words, "little") for v in (A, B, n))
     return a.assemble(), data, n
 
