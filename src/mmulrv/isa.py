@@ -26,7 +26,11 @@ Timing: 1 cycle per retired instruction (covers a single-cycle fetch),
 +1 cycle per taken control transfer, plus memory wait-states beyond the
 first cycle for fetch and data accesses.  MMUL engine occupancy is added
 on top and never double-counted.  Interrupt entry costs 3 cycles.  The
-model is fixed and the same for BA/CI-AE/CI-PE.
+model is fixed and the same for BA/CI-AE/CI-PE.  A retirement adds only to
+`retired` and, for a translated kind, `alu_cycles`: every retired
+instruction is fetched, decoded and reads the register file, so
+`RunStats.settle` derives those three counters from `retired` when `run`
+ends and after each `step`.
 """
 
 import math
@@ -379,7 +383,7 @@ _TRANSLATED = {k for k, (case, _) in _EXECUTE.items() if isinstance(case, str)}
 @lru_cache(maxsize=1 << 12)
 def _translate(pc, raws, read_latency, write_latency):
     """The block of fetch units `raws` at `pc` as (run, end): `run(m, limit)`
-    retires it with `step`'s counts in bulk and returns its cycles, or only
+    retires it, adding its counts in bulk, and returns its cycles, or only
     its first instruction if its last would start `limit` or more cycles
     after the block does; `end` is the end of its fetch windows.
 
@@ -392,11 +396,9 @@ def _translate(pc, raws, read_latency, write_latency):
         """Retire the first `count` instructions, then leave at `to`, or
         run the statement `then`."""
         return (f"m.pc = {to}; m.cycle += {cycles + extra}; s = m.stats; "
-                f"s.retired += {count}; s.fetch_cycles += "
-                f"{count * read_latency}; s.mem_reads += {reads}; "
-                f"s.mem_writes += {writes}; " + "; ".join(
-                    f"s.{name}_cycles += {count}"
-                    for name in ("decode", "regfile", "alu")) + "; "
+                f"s.retired += {count}; s.alu_cycles += {count}; "
+                + "".join(f"s.mem_{name} += {n}; " for name, n
+                          in (("reads", reads), ("writes", writes)) if n)
                 + (f"return {cycles + extra}" if then is None else then))
 
     lines = ["x = m.regs.x; mem = m.mem; data = mem.data"]
@@ -461,14 +463,9 @@ def _executed(d, pc, m, limit):
     except SimError:
         m.pc = pc
         raise
-    read_latency = m.mem.read_latency
-    cycles = BASE_CPI + read_latency - 1 + extra
+    cycles = BASE_CPI + m.mem.read_latency - 1 + extra
     m.cycle += cycles
-    stats = m.stats
-    stats.retired += 1
-    stats.fetch_cycles += read_latency
-    stats.decode_cycles += 1
-    stats.regfile_cycles += 1
+    m.stats.retired += 1
     return cycles
 
 
@@ -477,9 +474,9 @@ def _mmul_run(d, pc, count, cost, m, limit):
     A first or atomic issue, the last issue of a sequence and an issue from
     a trap handler retire alone through `_executed`.  Any other issue is a
     middle one of `cost` cycles, so one call retires k of them with k bit
-    steps and every counter `_executed` adds, k times: all the middle
-    issues left in the run and in the latched sequence or, when the wake
-    falls among them, those that start before it."""
+    steps: all the middle issues left in the run and in the latched
+    sequence or, when the wake falls among them, those that start before
+    it."""
     engine = m.engine
     if engine.latched is None or m.in_handler:
         return _executed(d, pc, m, limit)
@@ -494,9 +491,6 @@ def _mmul_run(d, pc, count, cost, m, limit):
     m.cycle += cycles
     stats = m.stats
     stats.retired += k
-    stats.fetch_cycles += k * m.mem.read_latency
-    stats.decode_cycles += k
-    stats.regfile_cycles += k
     stats.mmul_cycles += k * BIT_CYCLES
     return cycles
 
@@ -504,23 +498,30 @@ def _mmul_run(d, pc, count, cost, m, limit):
 def _block_at(mem, pc):
     """The entry of `pc` in `mem.blocks`, made on its first visit: (its
     block, translated, an MMUL run or, for another kind with an executor,
-    `_executed`; that decode; the end of its fetch windows).  A fault
-    fetching or decoding the first unit raises and caches nothing; a later
-    one ends the block.  An entry whose windows lie inside the image the
-    memory shares its blocks for is added to that image's table."""
+    `_executed`; that decode; the end of its fetch windows).  The visit
+    that finds an MMUL run makes the entries of all its units from `pc`
+    on, each the rest of the run, in its one scan.  A fault fetching or
+    decoding the first unit raises and caches nothing; a later one ends
+    the block.  An entry whose windows lie inside the image the memory
+    shares its blocks for is added to that image's table."""
     raw = mem.fetch_unit(pc)
     first = d = decode(raw)
     raws, at = [], pc
     if d.kind == "mmul":
+        units = []
         try:
-            while decode(mem.fetch_unit(at + 4)).kind == "mmul":
-                at += 4
+            while d.kind == "mmul":
+                units.append(d)
+                d = decode(mem.fetch_unit(pc + 4 * len(units)))
         except SimError:
             pass
-        count = (at - pc) // 4 + 1
-        run = partial(_mmul_run, first, pc, count,
-                      BASE_CPI + mem.read_latency - 1 + BIT_CYCLES)
-        return mem.keep(pc, (run, first, at + 4))
+        end = pc + 4 * len(units)
+        cost = BASE_CPI + mem.read_latency - 1 + BIT_CYCLES
+        for i, unit in enumerate(units):
+            at = pc + 4 * i
+            mem.keep(at, (partial(_mmul_run, unit, at, len(units) - i, cost),
+                          unit, end))
+        return mem.blocks[pc]
     while d.kind in _TRANSLATED:
         raws.append(raw)
         at = (at + d.length) & M32
@@ -566,8 +567,10 @@ class Cpu:
         if m.irq_pending and m.interrupt_ready():
             return self._enter_interrupt()
         run, d, _ = m.mem.blocks.get(m.pc) or _block_at(m.mem, m.pc)
+        cycles = run(m, 1)
+        m.stats.settle(m.mem.read_latency)
         # _make skips the NamedTuple's Python-level __new__: half the cost
-        return StepReport._make((d.kind, run(m, 1)))
+        return StepReport._make((d.kind, cycles))
 
     def run(self, budget=None, irq_schedule=(), config="BA"):
         """Step until a stop condition; returns populated RunStats.
@@ -614,6 +617,7 @@ class Cpu:
             with suppress(SimError):  # null when the fetch itself faulted
                 stats.trap_insn = m.mem.fetch_unit(m.pc)
         stats.total_cycles = m.cycle
+        stats.settle(m.mem.read_latency)
         stats.exit_code = m.exit_code
         return stats
 

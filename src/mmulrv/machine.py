@@ -110,7 +110,10 @@ class Memory:
             self._invalidate(addr, addr + nbytes)
 
     def fetch_unit(self, addr):
-        """32-bit fetch window at addr (zero-padded at the top of memory)."""
+        """The fetch unit at addr: its halfword when that is a compressed
+        unit, else the 32-bit word there.  A unit that does not fit in
+        memory raises UnmappedAddress, so the low half of a 32-bit unit in
+        the last halfword faults; nothing is zero-padded."""
         self._check(addr, 2)
         data = self.data
         lo = data[addr] | data[addr + 1] << 8

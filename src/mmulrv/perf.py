@@ -34,7 +34,12 @@ MODULE_POWER = {
 
 class RunStats:
     """Counters populated by one simulator run; immutable by convention
-    after the run completes."""
+    after the run completes.
+
+    Of the module activity counters, the core adds only `alu_cycles`, one
+    per retired instruction of a kind that uses the ALU, and `mmul_cycles`,
+    the engine's occupancy; `settle` derives fetch, decode and regfile from
+    `retired`.  Every counter is a plain slot, which a caller may set."""
 
     COUNTERS = (
         "total_cycles", "retired", "mem_reads", "mem_writes", "fetch_cycles",
@@ -47,22 +52,21 @@ class RunStats:
 
     def __init__(self, config="BA"):
         self.config = config
-        self.total_cycles = 0
-        self.retired = 0
-        self.mem_reads = 0
-        self.mem_writes = 0
-        self.fetch_cycles = 0
-        self.decode_cycles = 0
-        self.alu_cycles = 0
-        self.regfile_cycles = 0
-        self.mmul_cycles = 0
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
         self.interrupt_latencies = []  # list of (assert_cycle, service_cycle)
-        self.mmul_invocations = 0
         self.stop_reason = None  # halt | budget | trap; None before a run
         self.exit_code = 0
         self.trap_cause = None
         self.trap_pc = None    # pc of the trapping instruction
         self.trap_insn = None  # its raw fetch unit; None if the fetch faulted
+
+    def settle(self, read_latency):
+        """Set the counters every retirement adds alike, the one place they
+        are assigned: each retired instruction is fetched in `read_latency`
+        cycles, decoded once and reads the register file once."""
+        self.fetch_cycles = self.retired * read_latency
+        self.decode_cycles = self.regfile_cycles = self.retired
 
     def module_active_cycles(self):
         return {m: getattr(self, m + "_cycles") for m in MODULES}

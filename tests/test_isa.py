@@ -370,6 +370,28 @@ def test_trap_reports_pc_off_the_end_of_memory():
     _assert_trap_at(blob, DEFAULT_MEM_SIZE, "UnmappedAddress", None)
 
 
+def _run_at_the_top(unit):
+    """Jump to a 16-bit `unit` in the last halfword of memory."""
+    top = DEFAULT_MEM_SIZE - 2
+    m, cpu = _cpu_with(_asm(lambda a: (a.li(1, top), a.jalr(0, 1))))
+    m.mem.write(top, 2, unit)
+    return m, cpu.run(budget=100)
+
+
+def test_compressed_unit_in_the_last_halfword_retires():
+    m, stats = _run_at_the_top(0x4515)  # c.li x10, 5
+    assert m.regs.read(10) == 5
+    assert stats.trap_cause.startswith("UnmappedAddress")
+    assert (stats.trap_pc, stats.trap_insn) == (DEFAULT_MEM_SIZE, None)
+
+
+def test_32_bit_unit_cut_by_the_top_of_memory_traps():
+    m, stats = _run_at_the_top(0x0013)  # the low half of addi x0, x0, 0
+    assert stats.trap_cause.startswith("UnmappedAddress")
+    assert (stats.trap_pc, stats.trap_insn) == (DEFAULT_MEM_SIZE - 2, None)
+    assert m.pc == DEFAULT_MEM_SIZE - 2
+
+
 def test_run_counts_memory_traffic():
     def prog(a):
         a.li(2, 0x10000)

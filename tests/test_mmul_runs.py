@@ -146,3 +146,24 @@ def test_interrupt_and_budget_at_every_cycle_of_a_run(handler_mmul, rl, wl):
         serviced += len(entries)
     assert stops == ({"halt", "trap"} if handler_mmul else {"halt"})
     assert serviced > 40  # at least one per issue of the run
+
+
+def test_first_visit_of_a_run_makes_every_later_entry(unshared):
+    """The first visit of a run of MMUL units makes the entry of every unit
+    after it in the same scan, so a first visit at a later issue, such as
+    a resume after an interrupt, fetches nothing."""
+    code, data, _ = _program(1, [("mmul", 40)])
+    m = make_machine()
+    m.load_image(code, 0)
+    m.load_image(data, DATA_BASE)
+    start = next(pc for pc in range(0, len(code), 4) if isa.decode(
+        int.from_bytes(code[pc:pc + 4], "little")).kind == "mmul")
+    mem, fetched = m.mem, []
+    fetch_unit = mem.fetch_unit
+    mem.fetch_unit = lambda addr: fetched.append(addr) or fetch_unit(addr)
+    isa._block_at(mem, start)
+    assert len(fetched) == 41  # the 40 units and the one that ends the run
+    fetched.clear()
+    for at in range(start + 4, start + 160, 4):
+        mem.blocks.get(at) or isa._block_at(mem, at)
+    assert fetched == []
