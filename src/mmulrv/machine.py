@@ -113,7 +113,7 @@ class Memory:
         """The fetch unit at addr: its halfword when that is a compressed
         unit, else the 32-bit word there.  A unit that does not fit in
         memory raises UnmappedAddress, so the low half of a 32-bit unit in
-        the last halfword faults; nothing is zero-padded."""
+        the last halfword faults."""
         self._check(addr, 2)
         data = self.data
         lo = data[addr] | data[addr + 1] << 8
