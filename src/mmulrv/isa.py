@@ -380,6 +380,15 @@ _EXECUTE = {
 _TRANSLATED = {k for k, (case, _) in _EXECUTE.items() if isinstance(case, str)}
 
 
+def _plus(a, imm):
+    """The expression of the 32-bit sum of operand `a` and `imm`, folded:
+    registers hold 32-bit values, so a zero immediate leaves `a` as it
+    is, and a sum from x0 is a constant."""
+    if a == "0":
+        return str(imm & M32)
+    return f"{a} + {imm & M32} & 0xFFFFFFFF" if imm else a
+
+
 @lru_cache(maxsize=1 << 12)
 def _translate(pc, raws, read_latency, write_latency):
     """The block of fetch units `raws` at `pc` as (run, end): `run(m, limit)`
@@ -388,7 +397,8 @@ def _translate(pc, raws, read_latency, write_latency):
     after the block does; `end` is the end of its fetch windows.
 
     An access that would fault retires the instructions before it, leaves
-    m.pc at it and calls the machine's LSU, which raises; a store below
+    m.pc at it and calls the machine's LSU, which raises.  Past that test,
+    `lw` and `sw` index the memory's word view `w`; a store below
     `code_top` invalidates what it overlaps and ends the block."""
     count = cycles = reads = writes = 0
 
@@ -401,7 +411,7 @@ def _translate(pc, raws, read_latency, write_latency):
                           in (("reads", reads), ("writes", writes)) if n)
                 + (f"return {cycles + extra}" if then is None else then))
 
-    lines = ["x = m.regs.x; mem = m.mem; data = mem.data"]
+    lines = []
     at = pc
     for i, raw in enumerate(raws):
         d = decode(raw)
@@ -414,7 +424,9 @@ def _translate(pc, raws, read_latency, write_latency):
         after = (at + d.length) & M32
         rd = f"x[{d.rd}] = " if d.rd else "_ = "
         a, b = (f"x[{r}]" if r else "0" for r in (d.rs1, d.rs2))
-        if case == "alu":
+        if d.kind == "addi":
+            lines.append(rd + _plus(a, d.imm))
+        elif case == "alu":
             lines.append(rd + value.format(a=a, b=b, imm=d.imm & M32))
         elif case == "upper":
             lines.append(rd + str((at if value else 0) + d.imm & M32))
@@ -426,30 +438,46 @@ def _translate(pc, raws, read_latency, write_latency):
             misaligned = f"a & {n - 1} or " if n > 1 else ""
             lsu = f"m.{case}_" + ("word(a" if n == 4 else f"scalar(a, {n}") \
                 + ("" if load else f", {b}") + ")"
-            lines += [f"a = {a} + {d.imm & M32} & 0xFFFFFFFF",
-                      f"if {misaligned}a + {n} > len(data): {fault}{lsu}"]
-            if load:
+            lines += [f"a = {_plus(a, d.imm)}",
+                      f"if {misaligned}a + {n} > size: {fault}{lsu}"]
+            if load and n == 4:
+                lines.append(rd + "w[a >> 2]")
+            elif load:
                 lines.append(rd + f"int.from_bytes(data[a:a + {n}], 'little'"
                              + (", signed=True) & 0xFFFFFFFF"
                                 if value[1] else ")"))
-            else:  # a write below code_top invalidates what it overlaps
-                lines.append(f"mem.write(a, {n}, {b})")
-                if i < len(raws) - 1:  # and the rest may have been rewritten
-                    lines.append(f"if a < mem.code_top: {retire(after)}")
+            else:  # a write below code_top invalidates what it overlaps,
+                # and the rest of the block may have been rewritten
+                rest = [retire(after)] if i < len(raws) - 1 else []
+                if n == 4:
+                    lines.append(f"w[a >> 2] = {b}")
+                    rest.insert(0, "mem.invalidate(a, a + 4)")
+                else:
+                    lines.append(f"mem.write(a, {n}, {b})")
+                if rest:
+                    lines.append("if a < mem.code_top: " + "; ".join(rest))
         elif case == "branch":
             taken = retire(at + d.imm & M32, TAKEN_BRANCH_PENALTY)
             lines.append(f"if {value.format(a=a, b=b)}: {taken}")
         else:  # jal, jalr: rs1 is read before the link can overwrite it
             cycles += TAKEN_BRANCH_PENALTY
-            lines += [f"t = {a if value else at} + {d.imm & M32} "
-                      "& 0xFFFFFFFE", rd + str(after)]
-            after = "t"
+            target = at + d.imm & 0xFFFFFFFE
+            if value:  # jalr
+                offset = f" + {d.imm & M32}" if d.imm else ""
+                lines.append(f"t = {a}{offset} & 0xFFFFFFFE")
+                target = "t"
+            lines.append(rd + str(after))
+            after = target
         last, at = at, (at + d.length) & M32
     lines.append(retire(after))
     if len(raws) > 1:  # `head`: the cycle at which the last one starts
         lines.insert(split[0], f"if limit <= {head}: {split[1]}")
+    if reads or writes:  # only a block that accesses memory binds it
+        lines.insert(0, "mem = m.mem; data = mem.data; w = mem.words; "
+                     "size = len(data)")
     namespace = {}
-    exec("def run(m, limit):\n    " + "\n    ".join(lines), namespace)
+    exec("def run(m, limit):\n    x = m.regs.x\n    " + "\n    ".join(lines),
+         namespace)
     return namespace["run"], last + 4
 
 

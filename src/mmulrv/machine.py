@@ -1,5 +1,7 @@
 """Architectural state: registers, flat memory, CSR file, interrupt line."""
 
+import sys
+
 from .engine import MmulEngine
 from .errors import (MisalignedAccess, SimError, UnimplementedCsr,
                      UnmappedAddress)
@@ -67,6 +69,13 @@ class Memory:
     """Single flat byte-addressed region from address 0 with configurable
     access latency.
 
+    `words` is an aligned word view of the same bytes: `words[a >> 2]` is
+    the little-endian word at the aligned address a, and assigning it
+    writes those 4 bytes.  Translated `lw`/`sw` and the LSU's word path
+    index it, so the size must be a multiple of 4, and a host whose
+    native unsigned int is not 4 little-endian bytes is refused, since
+    the view would read other values than the bytes hold.
+
     `blocks` is the core's one per-pc cache: the block that starts at a pc
     (a translated run, a run of MMUL units or one executor instruction)
     and the decode of its first instruction.  Every write drops the entries
@@ -87,7 +96,13 @@ class Memory:
     def __init__(self, size=DEFAULT_MEM_SIZE, read_latency=1, write_latency=1):
         if read_latency < 1 or write_latency < 1:  # every access takes a cycle
             raise ValueError("latencies must be at least 1")
+        if size % 4:
+            raise ValueError("memory size must be a multiple of 4")
         self.data = bytearray(size)
+        self.words = memoryview(self.data).cast("I")
+        if sys.byteorder != "little" or self.words.itemsize != 4:
+            raise ValueError("the word view needs a little-endian host "
+                             "with a 4-byte unsigned int")
         self.read_latency = read_latency
         self.write_latency = write_latency
         self.blocks = {}  # pc -> (run, first decode, end of windows)
@@ -107,7 +122,7 @@ class Memory:
         self.data[addr:addr + nbytes] = (value & ((1 << (8 * nbytes)) - 1)) \
             .to_bytes(nbytes, "little")
         if addr < self.code_top:
-            self._invalidate(addr, addr + nbytes)
+            self.invalidate(addr, addr + nbytes)
 
     def fetch_unit(self, addr):
         """The fetch unit at addr: its halfword when that is a compressed
@@ -126,7 +141,7 @@ class Memory:
         self._check(base, len(blob))
         self.data[base:base + len(blob)] = blob
         if base < self.code_top:
-            self._invalidate(base, base + len(blob))
+            self.invalidate(base, base + len(blob))
         elif not self.code_top and blob:  # the first image of a fresh memory
             self.image = bytes(blob), base, self.read_latency, \
                 self.write_latency
@@ -152,7 +167,7 @@ class Memory:
                 table[pc] = entry
         return entry
 
-    def _invalidate(self, start, end):
+    def invalidate(self, start, end):
         """Drop the blocks that [start, end) overlaps, and stop sharing."""
         self.image = None
         blocks = self.blocks
@@ -184,17 +199,25 @@ class Machine:
         """Returns (value, latency_cycles); counts one memory read."""
         if addr & 3:
             raise MisalignedAccess(f"load_word at 0x{addr:08x}")
-        value = self.mem.read(addr, 4)
+        mem = self.mem
+        if addr < 0 or addr + 4 > len(mem.data):
+            raise UnmappedAddress(f"0x{addr:08x}")
         self.stats.mem_reads += 1
-        return value, self.mem.read_latency
+        return mem.words[addr >> 2], mem.read_latency
 
     def store_word(self, addr, value):
-        """Returns latency_cycles; counts one memory write."""
+        """Stores the low 32 bits of value; returns latency_cycles and
+        counts one memory write."""
         if addr & 3:
             raise MisalignedAccess(f"store_word at 0x{addr:08x}")
-        self.mem.write(addr, 4, value)
+        mem = self.mem
+        if addr < 0 or addr + 4 > len(mem.data):
+            raise UnmappedAddress(f"0x{addr:08x}")
+        mem.words[addr >> 2] = value & M32
+        if addr < mem.code_top:
+            mem.invalidate(addr, addr + 4)
         self.stats.mem_writes += 1
-        return self.mem.write_latency
+        return mem.write_latency
 
     def load_scalar(self, addr, nbytes):
         """Byte/halfword load path for lb/lh/lbu/lhu."""
