@@ -20,7 +20,11 @@ when the wake falls before its last one starts, so `step` runs the first
 instruction of the block at its pc.  Machines that
 load the same image share its blocks until one of them writes into it
 (see `Memory`).  A faulting access raises from inside its block, after the
-instructions before it retire.
+instructions before it retire.  Past the block's own alignment and bounds
+test, a translated `lw` or `sw` indexes `Memory.words`, the aligned word
+view of the memory's bytes (QEMU's inline fast path for guest memory), so
+a word store calls no `Memory` method unless it falls below `code_top`;
+byte and halfword accesses use the bytes.
 
 Timing: 1 cycle per retired instruction (covers a single-cycle fetch),
 +1 cycle per taken control transfer, plus memory wait-states beyond the
