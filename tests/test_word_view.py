@@ -92,14 +92,13 @@ def test_ba_blocks_index_the_word_view(monkeypatch, unshared):
         exec(source, namespace)
 
     monkeypatch.setattr(isa, "exec", recorded, raising=False)
-    isa._translate.cache_clear()
+    isa._translate.cache_clear()  # so that every block is compiled here
     for name, params in (("montmul_once", {}), ("modexp256", {}),
                          ("x25519_ladder", {"scalar_bits": 4})):
         guest = build_guest(name, "BA", params)
         m = make_machine()
         guest.load(m)
         assert isa.Cpu(m).run(budget=guest.budget_hint).stop_reason == "halt"
-    isa._translate.cache_clear()  # blocks not made through exec() alone
     source = "\n".join(sources)
     assert "x[5] = w[a >> 2]" in source and "w[a >> 2] = x[5]" in source
     assert "mem.write(" not in source
@@ -130,13 +129,15 @@ def test_a_loaded_image_is_read_by_lw(rl, wl):
 @pytest.mark.parametrize("rl,wl", LATENCIES)
 def test_a_translated_sw_is_seen_by_the_bytes(rl, wl):
     """Each pass stores a word into data and reads its bytes back with
-    `lbu`/`lh`, stores a halfword and reads the word with `lw`, and stores
-    NEW over the loop's first unit, which the next pass fetches."""
+    `lbu`/`lh`, stores a halfword over the low half of a word and reads
+    the word with `lw`, and stores NEW over the loop's first unit, which
+    the next pass fetches."""
     def body(a):
         a.addi(5, 5, 1)
         a.sw(7, 8, 0)
         a.lbu(12, 8, 1)
         a.lh(13, 8, 2)
+        a.sw(7, 8, 4)
         a.sh(6, 8, 4)
         a.lw(14, 8, 4)
         a.sw(9, 0, a.labels["loop"])
@@ -147,7 +148,7 @@ def test_a_translated_sw_is_seen_by_the_bytes(rl, wl):
     m = _twins(lambda m: m.load_image(code, 0), rl, wl)
     assert m.regs.x[5] == 1 + 17
     assert (m.regs.x[12], m.regs.x[13], m.regs.x[14]) == (
-        VALUE >> 8 & 0xFF, 0xFFFF89AB, 1)
+        VALUE >> 8 & 0xFF, 0xFFFF89AB, 0x89AB0001)
     assert m.mem.read(DATA_BASE, 4) == VALUE
     assert m.mem.fetch_unit(loop) == m.mem.read(loop, 4) == NEW
 
