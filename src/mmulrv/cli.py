@@ -175,6 +175,8 @@ def cmd_run(args):
     irq = [_int(x, "--irq") for x in args.irq or ()]
     if any(at < 0 for at in irq):
         raise SimError("--irq cycles must be at least 0")
+    if irq and args.sweep:  # a sweep asserts its own cycle in each run
+        raise SimError("--irq and --sweep cannot be combined")
     stats = _run_one(args, args.config, irq_cycles=irq)
     # an unclean run reports no energy: it needs no BA reference run
     reference = None if stats.unclean() else \

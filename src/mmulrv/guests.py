@@ -430,8 +430,7 @@ def emit_modexp(ctx, exponent_bits, base, exponent, config,
     return _program(
         name, config, a, dl, 200_000_000 if config == "BA" else 5_000_000,
         {"modulus": ctx.modulus, "words": W, "base": base,
-         "exponent": exponent, "exponent_bits": exponent_bits,
-         "result_symbols": ["result"]})
+         "exponent": exponent, "exponent_bits": exponent_bits})
 
 
 def emit_ladder_x25519_field(scalar, u, config, scalar_bits=None,
@@ -530,8 +529,7 @@ def emit_ladder_x25519_field(scalar, u, config, scalar_bits=None,
     return _program(
         name, config, a, dl, 400_000_000 if config == "BA" else 10_000_000,
         {"modulus": ctx.modulus, "words": W, "scalar": scalar,
-         "scalar_bits": scalar_bits, "u": u,
-         "result_symbols": ["out_x", "out_z"]})
+         "scalar_bits": scalar_bits, "u": u})
 
 
 def ladder_reference(u, scalar, scalar_bits, p=P25519):
@@ -586,8 +584,7 @@ def emit_single_montmul(ctx, a_val, b_val, config, with_irq_harness=False,
     emit_montmul_subroutine(a, dl, ctx, config)
     return _program(
         name, config, a, dl, 50_000_000 if config == "BA" else 1_000_000,
-        {"modulus": ctx.modulus, "words": W, "a": a_val, "b": b_val,
-         "result_symbols": ["result"]})
+        {"modulus": ctx.modulus, "words": W, "a": a_val, "b": b_val})
 
 
 # ---------------------------------------------------------------------------

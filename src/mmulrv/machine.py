@@ -3,8 +3,7 @@
 import sys
 
 from .engine import MmulEngine
-from .errors import (MisalignedAccess, SimError, UnimplementedCsr,
-                     UnmappedAddress)
+from .errors import MisalignedAccess, UnimplementedCsr, UnmappedAddress
 from .perf import RunStats
 
 M32 = 0xFFFFFFFF
@@ -40,6 +39,12 @@ _CSR_MASKS = {
     MEPC: ~1 & M32,
     MCAUSE: M32,
     MMUL_MODE: 1,
+}
+
+# read-only CSRs: address -> the value a read of it returns
+_READ_ONLY = {
+    MMUL_STATUS: lambda m: m.engine.status_word(),
+    MCYCLE: lambda m: m.cycle & M32,
 }
 
 
@@ -187,7 +192,7 @@ class Machine:
         self.stats = RunStats()
         self.csr = {a: 0 for a in _CSR_MASKS}
         self.csr[MIP] = 0  # reads/writes routed to the interrupt line
-        self.irq_pending = False  # the one external line, line 0
+        self.irq_pending = False  # the one external interrupt line
         self.irq_assert_cycle = 0
         self.in_handler = False
         self.halted = False
@@ -237,55 +242,38 @@ class Machine:
     # -- CSR file ----------------------------------------------------------
 
     def csr_access(self, addr, op, value=0):
-        """RISC-V read/write/set/clear semantics; returns the old value."""
-        writes = op == "write" or (op in ("set", "clear") and value != 0)
-        if addr == MMUL_STATUS:
-            old = self.engine.status_word()
-            if writes:
-                raise UnimplementedCsr("MMUL_STATUS is read-only")
-            return old
-        if addr == MCYCLE:
-            old = self.cycle & M32
-            if writes:
-                raise UnimplementedCsr("mcycle is read-only here")
-            return old
+        """RISC-V read/write/set/clear semantics; returns the old value.
+        Every op but "read" writes, so a read-only CSR refuses it."""
+        if addr in _READ_ONLY:
+            if op != "read":
+                raise UnimplementedCsr(f"csr 0x{addr:03x} is read-only")
+            return _READ_ONLY[addr](self)
         if addr not in self.csr:
             raise UnimplementedCsr(f"csr 0x{addr:03x}")
-        old = self._csr_read(addr)
+        if addr == MIP:
+            old = MEI_BIT if self.irq_pending else 0
+        else:
+            old = self.csr[addr]
         if op == "read":
             return old
         if op == "write":
             new = value
         elif op == "set":
             new = old | value
-        elif op == "clear":
+        else:  # "clear"
             new = old & ~value
-        else:
-            raise ValueError(f"bad csr op {op!r}")
-        self._csr_write(addr, new)
+        if addr != MIP:
+            self.csr[addr] = new & _CSR_MASKS[addr]
+        elif new & MEI_BIT:  # writing MEIP software-asserts the line
+            self.raise_interrupt()
+        else:  # and clearing it acknowledges the line
+            self.irq_pending = False
         return old
-
-    def _csr_read(self, addr):
-        if addr == MIP:
-            return MEI_BIT if self.irq_pending else 0
-        return self.csr[addr]
-
-    def _csr_write(self, addr, value):
-        if addr == MIP:
-            # writing MEIP acknowledges (or software-asserts) the line
-            if value & MEI_BIT:
-                self.raise_interrupt()
-            else:
-                self.irq_pending = False
-            return
-        self.csr[addr] = value & _CSR_MASKS[addr]
 
     # -- interrupt line ----------------------------------------------------
 
-    def raise_interrupt(self, line=0, at_cycle=None):
+    def raise_interrupt(self, at_cycle=None):
         """Assert the external line; the first assertion's cycle wins."""
-        if line != 0:
-            raise SimError(f"interrupt line {line} not configured")
         if not self.irq_pending:
             self.irq_pending = True
             self.irq_assert_cycle = self.cycle if at_cycle is None else at_cycle

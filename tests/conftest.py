@@ -3,10 +3,14 @@ import random
 import pytest
 
 from mmulrv import machine as machine_module
+from mmulrv.asm import Asm
 from mmulrv.guests import build_guest
 from mmulrv.isa import Cpu
 from mmulrv.machine import DATA_BASE, Machine, Memory
 from mmulrv.perf import RunStats
+from reference_core import ReferenceCpu
+
+LATENCIES = [(1, 1), (2, 3), (3, 1)]  # (read, write) pairs of twin runs
 
 
 def make_machine(read_latency=1, write_latency=1, max_words=8):
@@ -23,6 +27,29 @@ def machine_state(m):
             list(stats.interrupt_latencies),
             [getattr(stats, name)
              for name in RunStats.COUNTERS + RunStats.STOP_FIELDS])
+
+
+def twins(load, rl=1, wl=1, **run):
+    """Runs the machine that `load` sets up on `isa.Cpu` and on
+    `ReferenceCpu`, with `run` as the keywords of both runs; returns the
+    fast core's machine and stats once both ended in identical state."""
+    ends = []
+    for core in (Cpu, ReferenceCpu):
+        m = make_machine(read_latency=rl, write_latency=wl)
+        load(m)
+        ends.append((m, core(m).run(**run)))
+    assert machine_state(ends[0][0]) == machine_state(ends[1][0])
+    return ends[0]
+
+
+def encoding(emit):
+    """The instruction word that `emit` assembles."""
+    a = Asm()
+    emit(a)
+    return int.from_bytes(a.assemble(), "little")
+
+
+NEW = encoding(lambda a: a.addi(5, 5, 17))  # stored over addi x5, x5, 1
 
 
 def write_value(machine, addr, value, words):
@@ -85,5 +112,6 @@ def unshared(monkeypatch):
     return machine_module._shared
 
 
-__all__ = ["build_guest", "machine_state", "make_machine", "mont_oracle",
-           "operand_block", "read_value", "run_guest", "write_value"]
+__all__ = ["LATENCIES", "NEW", "build_guest", "encoding", "machine_state",
+           "make_machine", "mont_oracle", "operand_block", "read_value",
+           "run_guest", "twins", "write_value"]

@@ -215,7 +215,7 @@ class ReferenceCpu(Cpu):
         try:
             while True:
                 while si < len(sched) and sched[si] <= m.cycle:
-                    m.raise_interrupt(0, at_cycle=sched[si])
+                    m.raise_interrupt(at_cycle=sched[si])
                     si += 1
                 if m.halted:
                     stats.stop_reason = "halt"

@@ -11,27 +11,14 @@ across one, and a store into a later instruction of the running block.
 
 import pytest
 
-from conftest import machine_state, make_machine
+from conftest import LATENCIES, NEW, encoding, make_machine, twins
 from mmulrv import isa
 from mmulrv.asm import Asm
 from mmulrv.guests import build_guest
 from mmulrv.machine import DATA_BASE, DEFAULT_MEM_SIZE
 from reference_core import ReferenceCpu
 
-LATENCIES = [(1, 1), (2, 3), (3, 1)]
 PASSES = 4
-
-
-def _twins(load, rl, wl, **run):
-    """Runs the machine that `load` sets up on both cores; returns the fast
-    core's machine and stats once both ended in identical state."""
-    ends = []
-    for core in (isa.Cpu, ReferenceCpu):
-        m = make_machine(read_latency=rl, write_latency=wl)
-        load(m)
-        ends.append((m, core(m).run(**run)))
-    assert machine_state(ends[0][0]) == machine_state(ends[1][0])
-    return ends[0]
 
 
 def _loop(body, setup=()):
@@ -73,7 +60,7 @@ def _access(kind, start, stride):
         "unmapped-store"])
 def test_fault_inside_a_block(kind, start, stride, rl, wl):
     code, loop = _access(kind, start, stride)
-    m, stats = _twins(lambda m: m.load_image(code, 0), rl, wl, budget=10_000)
+    m, stats = twins(lambda m: m.load_image(code, 0), rl, wl, budget=10_000)
     assert _translated(m, loop)
     assert (stats.stop_reason, stats.trap_pc) == ("trap", loop + 4)
     assert m.regs.x[5] == 3  # the prefix before the access retired
@@ -110,12 +97,12 @@ def test_budget_and_interrupt_at_every_cycle_of_a_block(rl, wl):
     guest, pc, start = _inner_loop_block(rl, wl)
     length = 12 * rl + 2 * (rl - 1) + (wl - 1)  # 2 loads, 1 store
     for at in range(start - 1, start + length + 2):
-        m, stats = _twins(guest.load, rl, wl, budget=at)
+        m, stats = twins(guest.load, rl, wl, budget=at)
         assert stats.stop_reason == "budget"
         assert stats.total_cycles >= at
         assert _translated(m, pc)
-        m, stats = _twins(guest.load, rl, wl, budget=at + 400,
-                          irq_schedule=[at])
+        m, stats = twins(guest.load, rl, wl, budget=at + 400,
+                         irq_schedule=[at])
         assert [a for a, _ in stats.interrupt_latencies] == [at]
 
 
@@ -124,12 +111,7 @@ def test_store_into_a_later_instruction_of_the_running_block(rl, wl):
     """Each pass stores x9 over the `addi x5, x5, ...` two instructions on
     in its own block, then flips x9 between the two encodings, so every
     pass runs the word its store left, never the translated one."""
-    def encoding(k):
-        a = Asm()
-        a.addi(5, 5, k)
-        return int.from_bytes(a.assemble(), "little")
-
-    one, seventeen = encoding(1), encoding(17)
+    one, seventeen = encoding(lambda a: a.addi(5, 5, 1)), NEW
 
     def body(a):
         a.li(8, a.pc)        # x8 = this instruction's address
@@ -139,7 +121,7 @@ def test_store_into_a_later_instruction_of_the_running_block(rl, wl):
 
     code, loop = _loop(body, [lambda a: a.li(9, seventeen),
                               lambda a: a.li(10, one ^ seventeen)])
-    m, stats = _twins(lambda m: m.load_image(code, 0), rl, wl, budget=10_000)
+    m, stats = twins(lambda m: m.load_image(code, 0), rl, wl, budget=10_000)
     assert stats.stop_reason == "halt"
     assert m.regs.x[5] == 17 + 1 + 17 + 1
     assert _translated(m, loop + 8)  # where each pass resumes after its store

@@ -211,6 +211,9 @@ RUN_ONCE = ["run", "--guest", "montmul_once"]
       "--irq", "-50"], "--irq cycles must be at least 0"),
     (["run", "--guest", "irq_sweep_partial", "--config", "CI-PE",
       "--sweep=-20:-10:1"], "--sweep start must be at least 0"),
+    (["run", "--guest", "irq_sweep_partial", "--config", "CI-PE",
+      "--sweep", "100:120:10", "--irq", "5"],
+     "--irq and --sweep cannot be combined"),
     (["run", "--guest", "x25519_ladder", "--config", "CI-AE",
       "--set", "scalar_bits=0"], "scalar_bits must be in 1..32 at desk scale"),
     (RUN_ONCE + ["--config", "CI-AE", "--set", "modulus=239", "--set",
@@ -225,7 +228,8 @@ RUN_ONCE = ["run", "--guest", "montmul_once"]
 ], ids=["read-latency", "write-latency", "read-latency-zero",
         "write-latency-zero", "set-name", "run-words",
         "selftest-words", "selftest-vectors", "irq-negative",
-        "sweep-negative-start", "scalar-bits-zero", "run-budget-negative",
+        "sweep-negative-start", "irq-with-sweep", "scalar-bits-zero",
+        "run-budget-negative",
         "compare-budget-negative", "set-modulus-negative",
         "set-words-negative", "compare-set-words-zero"])
 def test_bad_machine_or_guest_input_is_a_usage_error(capsys, argv, message):

@@ -10,7 +10,7 @@ register shows that the rewritten instruction is the one that ran.
 
 import pytest
 
-from conftest import machine_state, make_machine
+from conftest import NEW, machine_state, make_machine, twins
 from mmulrv import isa
 from mmulrv.asm import Asm
 from mmulrv.machine import DATA_BASE
@@ -63,20 +63,6 @@ class Program:
         self.units(_bne(counter, start - len(self.code)), ECALL)
 
 
-def _run_twins(load):
-    """Runs the machine that `load` sets up on both cores; returns the fast
-    core's machine once both have halted in identical state."""
-    machines = []
-    for core in (isa.Cpu, ReferenceCpu):
-        m = make_machine()
-        load(m)
-        stats = core(m).run(budget=10_000)
-        assert stats.stop_reason == "halt", stats.trap_cause
-        machines.append(m)
-    assert machine_state(machines[0]) == machine_state(machines[1])
-    return machines[0]
-
-
 def _patch_loop(target, width, offset, value):
     """Each pass runs the `target` units, then stores `value` (`width`
     bytes) at offset `offset` into them.  x5 accumulates, x6 counts."""
@@ -87,9 +73,6 @@ def _patch_loop(target, width, offset, value):
     return bytes(p.code)
 
 
-NEW = _addi(5, 5, 17)  # each store below turns addi x5, x5, 1 into this
-
-
 @pytest.mark.parametrize("width,offset,value", [
     (4, 0, NEW),
     (2, 2, NEW >> 16),          # the upper half of the word
@@ -97,7 +80,8 @@ NEW = _addi(5, 5, 17)  # each store below turns addi x5, x5, 1 into this
 ], ids=["sw", "sh-upper-half", "sb-top-byte"])
 def test_store_into_executed_instruction(width, offset, value):
     code = _patch_loop([_addi(5, 5, 1)], width, offset, value)
-    m = _run_twins(lambda m: m.load_image(code, 0))
+    m, stats = twins(lambda m: m.load_image(code, 0), budget=10_000)
+    assert stats.stop_reason == "halt", stats.trap_cause
     assert m.regs.x[5] == 1 + 17 * (LOOPS - 1)
 
 
@@ -109,7 +93,8 @@ def test_store_turns_compressed_unit_into_32_bit():
         == [("addi", 2), ("slli", 2)]
     assert c_slli << 16 | _addi(5, 5, 8) & 0xFFFF == _addi(5, 5, 8)
     code = _patch_loop([c_addi, c_slli], 2, 0, _addi(5, 5, 8) & 0xFFFF)
-    m = _run_twins(lambda m: m.load_image(code, 0))
+    m, stats = twins(lambda m: m.load_image(code, 0), budget=10_000)
+    assert stats.stop_reason == "halt", stats.trap_cause
     assert m.regs.x[5] == 1 + 8 * (LOOPS - 1)
 
 
@@ -132,7 +117,8 @@ def test_mmul_result_lands_on_executed_code():
         for k, value in enumerate((a, b, n)):
             m.load_image(value.to_bytes(4, "little"), DATA_BASE + 4 * k)
 
-    m = _run_twins(load)
+    m, stats = twins(load, budget=10_000)
+    assert stats.stop_reason == "halt", stats.trap_cause
     assert m.regs.x[5] == 1 + 100
     assert m.stats.mmul_invocations == 2
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_guest, machine_state, make_machine
+from conftest import build_guest, machine_state, make_machine, twins
 from mmulrv import isa
 from mmulrv.engine import MmulOperands
 from mmulrv.errors import IllegalInstruction, SimError
@@ -184,10 +184,10 @@ def test_every_table_kind_retires_and_matches():
                                           "mmul", "csrrw", "ebreak"))
 
 
-def _run_twins(cores, budget, schedule, config="BA"):
+def _run_twins(cores, budget, schedule):
     """Runs both cores to a stop; their machines must end identical."""
-    fast, ref = (core.run(budget=budget, irq_schedule=schedule,
-                          config=config) for core in cores)
+    fast, ref = (core.run(budget=budget, irq_schedule=schedule)
+                 for core in cores)
     assert (fast.stop_reason, fast.trap_cause) == \
         (ref.stop_reason, ref.trap_cause)
     assert machine_state(cores[0].m) == machine_state(cores[1].m)
@@ -222,16 +222,6 @@ def test_run_loop_matches_reference(rng):
     _run_twins(cores, budget, _schedule(rng, 40))
 
 
-def _run_guest(guest, latency, budget, schedule=()):
-    """`guest` run on twin machines, one per core; the fast core's stats."""
-    cores = []
-    for core in (isa.Cpu, ReferenceCpu):
-        m = make_machine(latency, latency)
-        guest.load(m)
-        cores.append(core(m))
-    return _run_twins(cores, budget, schedule, guest.config)
-
-
 @pytest.mark.parametrize("name,config", [("irq_sweep_atomic", "CI-AE"),
                                          ("irq_sweep_partial", "CI-PE")])
 def test_run_loop_matches_reference_on_irq_sweeps(name, config):
@@ -241,11 +231,13 @@ def test_run_loop_matches_reference_on_irq_sweeps(name, config):
     guest = build_guest(name, config)
     budget = guest.budget_hint
     for latency in (1, 2):
-        end = _run_guest(guest, latency, budget).total_cycles
+        end = twins(guest.load, latency, latency, budget=budget,
+                    config=guest.config)[1].total_cycles
         schedules = [[0], [end], [end + 5], [7, 7], [0, end // 2, end + 1]]
         schedules += [_schedule(rng, end + 20) for _ in range(12)]
         for schedule in schedules:
-            stats = _run_guest(guest, latency, budget, schedule)
+            stats = twins(guest.load, latency, latency, budget=budget,
+                          irq_schedule=schedule, config=guest.config)[1]
             assert stats.stop_reason == "halt"
 
 
@@ -254,15 +246,18 @@ def test_run_loop_matches_reference_under_budgets(config):
     """montmul_once to halt, and a small field under budgets of 0, a few
     cycles, around the halt cycle and with interrupts."""
     rng = random.Random(f"run-loop/{config}")
-    stats = _run_guest(build_guest("montmul_once", config), 1, None)
+    guest = build_guest("montmul_once", config)
+    stats = twins(guest.load, config=guest.config)[1]
     assert stats.stop_reason == "halt"
     small = build_guest("montmul_once", config,
                         {"modulus": 239, "words": 1, "a": 100, "b": 55,
                          "irq": 1})
-    end = _run_guest(small, 1, None).total_cycles
+    end = twins(small.load, config=small.config)[1].total_cycles
     budgets = [0, 1, 2, 3, end - 1, end, end + 1]
     budgets += [rng.randrange(end) for _ in range(8)]
     for budget in budgets:
         for schedule in ((), _schedule(rng, end)):
-            stats = _run_guest(small, rng.choice((1, 2)), budget, schedule)
+            latency = rng.choice((1, 2))
+            stats = twins(small.load, latency, latency, budget=budget,
+                          irq_schedule=schedule, config=small.config)[1]
             assert stats.stop_reason in ("halt", "budget")

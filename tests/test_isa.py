@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_machine
+from conftest import make_machine, twins
 from mmulrv import isa
 from mmulrv.asm import Asm
 from mmulrv.errors import IllegalInstruction, SimError
 from mmulrv.isa import Cpu, decode
-from mmulrv.machine import DEFAULT_MEM_SIZE, M32, MEPC, MIE, MSTATUS, MTVEC
+from mmulrv.machine import (DEFAULT_MEM_SIZE, M32, MCYCLE, MEPC, MIE,
+                            MMUL_STATUS, MSTATUS, MTVEC)
 
 
 def _load(machine, blob, base=0):
@@ -353,6 +354,39 @@ def _assert_trap_at(blob, pc, cause, raw):
     assert stats.to_dict()["trap_pc"] == pc
 
 
+@pytest.mark.parametrize("csr", [MMUL_STATUS, MCYCLE],
+                         ids=["mmul_status", "mcycle"])
+@pytest.mark.parametrize("kind", ["csrrs", "csrrc"])
+def test_set_or_clear_from_a_register_writes_a_read_only_csr(kind, csr):
+    """Zicsr: csrrs/csrrc with rs1 != x0 write, even when rs1 holds 0, so
+    a read-only CSR refuses them on both cores; the x0 and zero-immediate
+    forms only read it."""
+    def program(*emits):
+        def load(m):
+            a = Asm(base=0)
+            a.li(5, 0)
+            a.li(6, -1)
+            a.li(7, -1)
+            for emit in emits:
+                emit(a)
+            a.li(10, 0)
+            a.ecall()
+            m.load_image(a.assemble(), 0)
+        return load
+
+    stats = twins(program(lambda a: getattr(a, kind)(6, csr, 5)),
+                  budget=100)[1]
+    assert stats.stop_reason == "trap"
+    assert stats.trap_cause.startswith("UnimplementedCsr")
+    m, stats = twins(program(lambda a: getattr(a, kind)(6, csr, 0),
+                             lambda a: getattr(a, kind + "i")(7, csr, 0)),
+                     budget=100)
+    assert stats.stop_reason == "halt"
+    # an idle engine's status, or the cycle after three one-cycle units
+    assert (m.regs.x[6], m.regs.x[7]) == \
+        {MMUL_STATUS: (0, 0), MCYCLE: (3, 4)}[csr]
+
+
 def test_trap_reports_illegal_word():
     blob = _asm(lambda a: (a.nop(), a.nop())) + b"\xff\xff\xff\xff"
     _assert_trap_at(blob, 8, "IllegalInstruction", 0xFFFFFFFF)
@@ -461,7 +495,7 @@ def test_interrupt_entry_costs_three_cycles():
     m.csr_access(MTVEC, "write", a.labels["handler"])
     m.csr_access(MIE, "write", 1 << 11)
     m.csr_access(MSTATUS, "write", 8)
-    m.raise_interrupt(0)
+    m.raise_interrupt()
     before = m.cycle
     report = cpu.step()
     assert report.retired == "irq"

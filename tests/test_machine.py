@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_machine
-from mmulrv.errors import (MisalignedAccess, SimError, UnimplementedCsr,
-                           UnmappedAddress)
-from mmulrv.machine import MIE, MIP, MMUL_MODE, MMUL_STATUS, MSTATUS, Memory
+from mmulrv.errors import MisalignedAccess, UnimplementedCsr, UnmappedAddress
+from mmulrv.machine import (MCYCLE, MIE, MIP, MMUL_MODE, MMUL_STATUS, MSTATUS,
+                            Memory)
 
 
 class TestMemory:
@@ -89,6 +89,13 @@ class TestCsr:
         with pytest.raises(UnimplementedCsr):
             machine.csr_access(MMUL_STATUS, "write", 1)
 
+    @pytest.mark.parametrize("op", ["write", "set", "clear"])
+    @pytest.mark.parametrize("csr", [MMUL_STATUS, MCYCLE],
+                             ids=["mmul_status", "mcycle"])
+    def test_read_only_refuses_every_write_op(self, machine, csr, op):
+        with pytest.raises(UnimplementedCsr, match="read-only"):
+            machine.csr_access(csr, op, 0)
+
     def test_mcycle_tracks_cycle(self, machine):
         machine.cycle = 42
         assert machine.csr_access(0xB00, "read") == 42
@@ -96,26 +103,22 @@ class TestCsr:
 
 class TestInterruptLine:
     def test_assert_visible(self, machine):
-        machine.raise_interrupt(0, at_cycle=1000)
+        machine.raise_interrupt(at_cycle=1000)
         assert machine.irq_pending
         assert machine.csr_access(MIP, "read") == 1 << 11
 
     def test_first_assert_wins(self, machine):
-        machine.raise_interrupt(0, at_cycle=1000)
-        machine.raise_interrupt(0, at_cycle=2000)
+        machine.raise_interrupt(at_cycle=1000)
+        machine.raise_interrupt(at_cycle=2000)
         assert machine.irq_assert_cycle == 1000
 
-    def test_unconfigured_line(self, machine):
-        with pytest.raises(SimError):
-            machine.raise_interrupt(7, at_cycle=0)
-
     def test_ack_via_mip_clear(self, machine):
-        machine.raise_interrupt(0)
+        machine.raise_interrupt()
         machine.csr_access(MIP, "clear", 1 << 11)
         assert not machine.irq_pending
 
     def test_not_ready_without_enables(self, machine):
-        machine.raise_interrupt(0)
+        machine.raise_interrupt()
         assert not machine.interrupt_ready()
         machine.csr_access(MIE, "write", 1 << 11)
         machine.csr_access(MSTATUS, "write", 8)

@@ -16,14 +16,12 @@ issue outside a handler retired through the run's bulk path.
 
 import pytest
 
-from conftest import machine_state, make_machine, mont_oracle
+from conftest import LATENCIES, make_machine, mont_oracle, twins
 from mmulrv import isa
 from mmulrv.asm import Asm
 from mmulrv.machine import DATA_BASE, MEI_BIT, MIE, MIP, MMUL_MODE, MSTATUS, \
     MTVEC
-from reference_core import ReferenceCpu
 
-LATENCIES = [(1, 1), (2, 3), (3, 1)]
 MODULUS = {1: 0xFFFFFFFB, 2: (1 << 64) - 59}  # by operand words
 A, B = 0x12345678, 0x9ABCDEF1
 RESULT = DATA_BASE + 0x100
@@ -86,16 +84,16 @@ def _twins(code, data, rl, wl, **run):
     """Runs the program on both cores; returns the fast core's machine and
     stats once both ended in identical state, and the fast core called the
     engine for exactly the issues that are not middle ones."""
-    ends, calls = [], ([], [])
-    for core, seen in zip((isa.Cpu, ReferenceCpu), calls):
-        m = make_machine(read_latency=rl, write_latency=wl)
+    calls = []  # the fast core's, then the reference core's
+
+    def load(m):
         m.load_image(code, 0)
         m.load_image(data, DATA_BASE)
-        _counted(m, seen)
-        ends.append((m, core(m).run(**run)))
-    assert machine_state(ends[0][0]) == machine_state(ends[1][0])
+        calls.append([])
+        _counted(m, calls[-1])
+    ends = twins(load, rl, wl, **run)
     assert calls[0] == [kind for kind in calls[1] if kind != "middle"]
-    return ends[0]
+    return ends
 
 
 SHAPES = {

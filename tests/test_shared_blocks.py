@@ -10,20 +10,11 @@ rewritten on one machine never runs on another: each program here runs on
 
 import pytest
 
-from conftest import machine_state, make_machine
+from conftest import NEW, encoding, machine_state, make_machine
 from mmulrv import isa
 from mmulrv.asm import Asm
 from mmulrv.machine import SHARED_IMAGES
 from reference_core import ReferenceCpu
-
-
-def _encoding(emit):
-    a = Asm()
-    emit(a)
-    return int.from_bytes(a.assemble(), "little")
-
-
-NEW = _encoding(lambda a: a.addi(5, 5, 17))  # over each pass's addi x5, x5, 1
 
 
 def _program(store):
@@ -111,8 +102,8 @@ def test_machines_that_load_one_image_share_its_blocks(unshared):
 
 def test_the_table_keeps_at_most_its_bound_of_images(unshared):
     """Each distinct image run adds a table, and the oldest goes first."""
-    images = [_encoding(lambda a: a.addi(5, 0, k)).to_bytes(4, "little")
-              + _encoding(lambda a: a.ecall()).to_bytes(4, "little")
+    images = [encoding(lambda a: a.addi(5, 0, k)).to_bytes(4, "little")
+              + encoding(lambda a: a.ecall()).to_bytes(4, "little")
               for k in range(SHARED_IMAGES + 4)]
     for image in images:
         _run(isa.Cpu, _loaded(image))

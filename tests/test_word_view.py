@@ -11,39 +11,14 @@ import sys
 
 import pytest
 
-from conftest import (build_guest, machine_state, make_machine, mont_oracle,
-                      operand_block)
+from conftest import (LATENCIES, NEW, build_guest, make_machine, mont_oracle,
+                      operand_block, twins)
 from mmulrv import isa
 from mmulrv.asm import Asm
 from mmulrv.machine import DATA_BASE, Memory
-from reference_core import ReferenceCpu
 
-LATENCIES = [(1, 1), (2, 3), (3, 1)]
 VALUE = 0x89ABCDEF
 MODULUS = 0xFFFFFFFB  # 2^32 mod MODULUS is 5, so mont(v, 5) is v
-
-
-def _encoding(emit):
-    a = Asm()
-    emit(a)
-    return int.from_bytes(a.assemble(), "little")
-
-
-NEW = _encoding(lambda a: a.addi(5, 5, 17))  # over each pass's addi x5, x5, 1
-
-
-def _twins(load, rl, wl):
-    """Runs the machine that `load` sets up on both cores until it halts;
-    returns the fast core's machine once both ended in identical state."""
-    ends = []
-    for core in (isa.Cpu, ReferenceCpu):
-        m = make_machine(read_latency=rl, write_latency=wl)
-        load(m)
-        stats = core(m).run(budget=10_000)
-        assert stats.stop_reason == "halt", stats.trap_cause
-        ends.append(m)
-    assert machine_state(ends[0]) == machine_state(ends[1])
-    return ends[0]
 
 
 def _loop(body, setup=()):
@@ -122,7 +97,8 @@ def test_a_loaded_image_is_read_by_lw(rl, wl):
         m.load_image(b"".join(w.to_bytes(4, "little") for w in words),
                      DATA_BASE)
 
-    m = _twins(load, rl, wl)
+    m, stats = twins(load, rl, wl, budget=10_000)
+    assert stats.stop_reason == "halt", stats.trap_cause
     assert m.regs.x[5] == 2 * sum(words) & 0xFFFFFFFF
 
 
@@ -145,7 +121,8 @@ def test_a_translated_sw_is_seen_by_the_bytes(rl, wl):
     code, loop = _loop(body, [lambda a: a.li(8, DATA_BASE),
                               lambda a: a.li(7, VALUE),
                               lambda a: a.li(9, NEW)])
-    m = _twins(lambda m: m.load_image(code, 0), rl, wl)
+    m, stats = twins(lambda m: m.load_image(code, 0), rl, wl, budget=10_000)
+    assert stats.stop_reason == "halt", stats.trap_cause
     assert m.regs.x[5] == 1 + 17
     assert (m.regs.x[12], m.regs.x[13], m.regs.x[14]) == (
         VALUE >> 8 & 0xFF, 0xFFFF89AB, 0x89AB0001)
@@ -193,7 +170,8 @@ def test_an_engine_result_store_is_read_by_lw(rl, wl):
         a.mmul(13, 10, 11, 12, 1)
         a.j("entry")
 
-    m = _twins(_with_mmul(body, p, VALUE), rl, wl)
+    m, stats = twins(_with_mmul(body, p, VALUE), rl, wl, budget=10_000)
+    assert stats.stop_reason == "halt", stats.trap_cause
     assert m.regs.x[14] == VALUE
     assert m.mem.read(p, 4) == VALUE
 
@@ -210,6 +188,7 @@ def test_an_engine_result_store_into_code_drops_its_block(rl, wl):
         a.mmul(13, 10, 11, 12, 1)
         a.j("entry")
 
-    m = _twins(_with_mmul(body, 4, NEW), rl, wl)
+    m, stats = twins(_with_mmul(body, 4, NEW), rl, wl, budget=10_000)
+    assert stats.stop_reason == "halt", stats.trap_cause
     assert m.regs.x[5] == 1 + 17
     assert m.mem.fetch_unit(4) == NEW
