@@ -12,8 +12,7 @@ from . import encoding
 from .engine import MmulOperands, r2mm_reference
 from .errors import InvalidConfig, SimError
 from .guests import GUEST_NAMES, build_guest
-from .isa import Cpu
-from .machine import DATA_BASE, Machine, Memory
+from .machine import DATA_BASE, Machine
 from .perf import (CONFIGS, PowerModel, RunStats, estimate_energy,
                    interrupt_latency_report)
 
@@ -21,15 +20,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_TRAP = 2
 EXIT_BUDGET = 3
-
-
-def _machine(args):
-    try:
-        mem = Memory(read_latency=args.read_latency,
-                     write_latency=args.write_latency)
-    except ValueError as exc:  # a latency below 1
-        raise SimError(str(exc)) from None
-    return Machine(memory=mem, max_words=args.words)
 
 
 def _int(text, option):
@@ -62,22 +52,15 @@ def _parse_sweep(spec):
     return range(start, end, step)
 
 
-def _execute(guest, args, config, irq_cycles=()):
-    machine = _machine(args)
-    guest.load(machine)
-    cpu = Cpu(machine)
-    budget = guest.budget_hint if args.budget is None else args.budget
-    return cpu.run(budget=budget, irq_schedule=irq_cycles, config=config)
-
-
 def _run_one(args, config, irq_cycles=()):
     guest = build_guest(args.guest, config, _parse_params(args.set))
+    run = functools.partial(guest.run, args.read_latency, args.write_latency,
+                            budget=args.budget, max_words=args.words)
     if args.sweep:
         # one run per assert cycle; counters and latencies add up
         return functools.reduce(RunStats.merge, (
-            _execute(guest, args, config, irq_cycles=[at])
-            for at in _parse_sweep(args.sweep)))
-    return _execute(guest, args, config, irq_cycles=irq_cycles)
+            run([at])[1] for at in _parse_sweep(args.sweep)))
+    return run(irq_cycles)[1]
 
 
 def _exit_code(stats):
@@ -227,33 +210,25 @@ def cmd_compare(args):
 def cmd_selftest(args):
     seed = os.environ.get("MMULRV_SEED")
     rng = random.Random(int(seed, 0) if seed else 12345)
-    vectors = args.vectors
     failures = 0
-    for words in (1, 2, 4, 8):
-        if words > args.words:
-            continue
+    for words in range(1, args.words + 1):
         n_bits = 32 * words
-        for _ in range(vectors):
-            n_mod = rng.getrandbits(n_bits) | 1
-            if n_mod < 3:
-                n_mod = 3
+        for _ in range(args.vectors):
+            n_mod = max(rng.getrandbits(n_bits) | 1, 3)
             a = rng.randrange(n_mod)
             b = rng.randrange(n_mod)
             expect = (a * b * pow(1 << n_bits, -1, n_mod)) % n_mod
             machine = Machine(max_words=args.words)
-            base = DATA_BASE
-            for i, val in enumerate((a, b, n_mod)):
-                machine.load_image(val.to_bytes(4 * words, "little"),
-                                   base + 4 * words * i)
-            ops = MmulOperands(base, base + 4 * words, base + 8 * words,
-                               base + 12 * words, words)
-            machine.engine.execute_atomic(machine, ops)
-            got = machine.mem.read(base + 12 * words, 4 * words)
+            addrs = [DATA_BASE + 4 * words * i for i in range(4)]  # A B N P
+            for addr, val in zip(addrs, (a, b, n_mod)):
+                machine.load_image(val.to_bytes(4 * words, "little"), addr)
+            machine.engine.execute_atomic(machine, MmulOperands(*addrs, words))
+            got = machine.mem.read(addrs[3], 4 * words)
             ref = r2mm_reference(a, b, n_mod, n_bits)
             if got != expect or ref != expect:
                 failures += 1
                 print(f"FAIL words={words} a={a:#x} b={b:#x} n={n_mod:#x}")
-        print(f"words={words}: {vectors} vectors "
+        print(f"words={words}: {args.vectors} vectors "
               f"{'ok' if failures == 0 else 'FAILED'}")
     print("selftest " + ("PASSED" if failures == 0 else
                          f"FAILED ({failures} vectors)"))
@@ -340,6 +315,9 @@ def main(argv=None):
                 raise SimError(f"--{option} must be at least 1")
         if (getattr(args, "budget", None) or 0) < 0:
             raise SimError("--budget must be at least 0")
+        if min(getattr(args, "read_latency", 1),
+               getattr(args, "write_latency", 1)) < 1:
+            raise SimError("latencies must be at least 1")
         path = getattr(args, "out", None)
         if path is None:
             return args.func(args)

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 from .asm import Asm
 from .errors import GuestNotFound, InvalidConfig, UnknownInput
+from .isa import Cpu
 from .machine import (CODE_BASE, DATA_BASE, MCYCLE, MIE, MIP, MMUL_MODE,
-                      MSTATUS, MTVEC)
+                      MSTATUS, MTVEC, Machine, Memory)
 from .perf import CONFIGS
 
 P25519 = (1 << 255) - 19
@@ -91,6 +92,19 @@ class GuestProgram:
         for addr, blob in self.data_init:
             machine.load_image(blob, addr)
         machine.pc = self.entry
+
+    def run(self, read_latency=1, write_latency=1, irq=(), budget=None,
+            max_words=8):
+        """(machine, stats) of the guest loaded into a fresh machine and
+        run under its own config to `budget` (`budget_hint` when None),
+        the interrupt asserted at each cycle of `irq`."""
+        machine = Machine(Memory(read_latency=read_latency,
+                                 write_latency=write_latency), max_words)
+        self.load(machine)
+        stats = Cpu(machine).run(
+            budget=self.budget_hint if budget is None else budget,
+            irq_schedule=irq, config=self.config)
+        return machine, stats
 
     def read_value(self, machine, symbol):
         addr, words = self.data[symbol]

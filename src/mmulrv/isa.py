@@ -393,7 +393,6 @@ def _plus(a, imm):
     return f"{a} + {imm & M32} & 0xFFFFFFFF" if imm else a
 
 
-@lru_cache(maxsize=1 << 12)
 def _translate(pc, raws, read_latency, write_latency):
     """The block of fetch units `raws` at `pc` as (run, end): `run(m, limit)`
     retires it, adding its counts in bulk, and returns its cycles, or only

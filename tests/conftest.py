@@ -69,13 +69,10 @@ def operand_block(machine, a, b, n, words, base=DATA_BASE):
     return base, base + stride, base + 2 * stride, base + 3 * stride
 
 
-def run_guest(guest, config=None, irq=(), budget=None, **machine_kwargs):
-    machine = make_machine(**machine_kwargs)
-    guest.load(machine)
-    cpu = Cpu(machine)
-    stats = cpu.run(budget=guest.budget_hint if budget is None else budget,
-                    irq_schedule=irq, config=config or guest.config)
-    return machine, stats
+def run_guest(guest, **run):
+    """(machine, stats) of `guest` run on a fresh machine: `run` holds the
+    keywords of `GuestProgram.run`."""
+    return guest.run(**run)
 
 
 def mont_oracle(a, b, n, n_bits):

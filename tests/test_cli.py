@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mmulrv import cli
+from mmulrv import cli, isa
 from mmulrv.cli import (EXIT_BUDGET, EXIT_ERROR, EXIT_OK, EXIT_TRAP, main)
 
 RUN_KEYS = {"config", "total_cycles", "retired", "mem_reads", "mem_writes",
@@ -122,7 +122,7 @@ def test_run_writes_output_file(tmp_path, capsys):
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
     """The --out file is opened before the runs: no guest runs at all."""
     runs = []
-    monkeypatch.setattr(cli.Cpu, "run", lambda *a, **k: runs.append(a))
+    monkeypatch.setattr(isa.Cpu, "run", lambda *a, **k: runs.append(a))
     out = tmp_path / "missing" / "report.json"
     for argv in (["run", "--guest", "montmul_once", "--config", "CI-AE",
                   *SMALL_FIELD], ["compare", "--guest", "x25519_ladder"]):
@@ -329,6 +329,13 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "selftest PASSED" in out
+
+
+def test_selftest_checks_every_width_up_to_words(capsys):
+    assert main(["selftest", "--words", "3", "--vectors", "2"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == \
+        ["words=1", "words=2", "words=3"]
 
 
 def test_selftest_seed_env(capsys, monkeypatch):

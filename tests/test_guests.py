@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from conftest import mont_oracle, run_guest
+from conftest import machine_state, make_machine, mont_oracle, run_guest
 from mmulrv import guests
 from mmulrv.encoding import OPCODE_CUSTOM0
 from mmulrv.guests import (CONFIGS, FieldContext, build_guest, emit_modexp,
@@ -81,7 +83,7 @@ class TestModexp:
         ctx = FieldContext(239, 1)
         for config in CONFIGS:
             guest = emit_modexp(ctx, 4, 2, 10, config)
-            machine, stats = run_guest(guest, config=config)
+            machine, stats = run_guest(guest)
             assert stats.stop_reason == "halt"
             assert guest.read_value(machine, "result") == 68  # 2^10 mod 239
 
@@ -196,3 +198,59 @@ class TestRegistry:
             build_guest("irq_sweep_atomic", "BA")
         with pytest.raises(InvalidConfig):
             build_guest("irq_sweep_partial", "CI-AE")
+
+
+SMALL = {"modulus": 239, "words": 1, "a": 100, "b": 55}
+
+
+class TestRun:
+    """`GuestProgram.run`: the guest on a fresh machine, under its own
+    config."""
+
+    def test_budget_zero_stops_before_the_first_instruction(self):
+        guest = build_guest("montmul_once", "CI-AE", SMALL)
+        machine, stats = guest.run(budget=0)
+        assert (stats.stop_reason, stats.total_cycles, stats.retired) == \
+            ("budget", 0, 0)
+        assert (machine.cycle, machine.pc) == (0, guest.entry)
+
+    def test_no_budget_is_the_budget_hint(self):
+        guest = build_guest("montmul_once", "BA", SMALL)
+        _, stats = guest.run()
+        assert (stats.stop_reason, stats.exit_code) == ("halt", 0)
+        assert stats.total_cycles < guest.budget_hint
+        hinted = dataclasses.replace(guest, budget_hint=50)
+        _, stats = hinted.run()
+        assert stats.stop_reason == "budget"
+        assert 50 <= stats.total_cycles < 60
+
+    def test_latencies_and_max_words_reach_the_machine(self):
+        guest = build_guest("montmul_once", "CI-AE", SMALL)
+        machine, stats = guest.run(read_latency=2, write_latency=3,
+                                   max_words=1)
+        assert (machine.mem.read_latency, machine.mem.write_latency,
+                machine.engine.max_words) == (2, 3, 1)
+        assert stats.stop_reason == "halt"
+        assert stats.total_cycles > guest.run()[1].total_cycles
+        _, stats = build_guest("montmul_once", "CI-AE").run(max_words=4)
+        assert stats.stop_reason == "trap"
+        assert "exceeds hardware limit 4" in stats.trap_cause
+        with pytest.raises(ValueError, match="latencies must be at least 1"):
+            guest.run(write_latency=0)
+
+    def test_irq_asserts_the_interrupt_at_its_cycle(self):
+        _, stats = build_guest("irq_sweep_partial", "CI-PE").run(irq=[200])
+        assert (stats.stop_reason, stats.exit_code) == ("halt", 0)
+        assert [asserted for asserted, _ in stats.interrupt_latencies] == \
+            [200]
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_matches_loading_and_running_by_hand(self, config):
+        guest = build_guest("montmul_once", config, {**SMALL, "irq": True})
+        machine, stats = guest.run(read_latency=2, write_latency=3, irq=[40])
+        assert stats.config == config and stats.interrupt_latencies
+        by_hand = make_machine(read_latency=2, write_latency=3)
+        guest.load(by_hand)
+        isa.Cpu(by_hand).run(budget=guest.budget_hint, irq_schedule=[40],
+                             config=config)
+        assert machine_state(machine) == machine_state(by_hand)

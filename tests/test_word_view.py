@@ -67,13 +67,10 @@ def test_ba_blocks_index_the_word_view(monkeypatch, unshared):
         exec(source, namespace)
 
     monkeypatch.setattr(isa, "exec", recorded, raising=False)
-    isa._translate.cache_clear()  # so that every block is compiled here
     for name, params in (("montmul_once", {}), ("modexp256", {}),
                          ("x25519_ladder", {"scalar_bits": 4})):
-        guest = build_guest(name, "BA", params)
-        m = make_machine()
-        guest.load(m)
-        assert isa.Cpu(m).run(budget=guest.budget_hint).stop_reason == "halt"
+        _, stats = build_guest(name, "BA", params).run()
+        assert stats.stop_reason == "halt"
     source = "\n".join(sources)
     assert "x[5] = w[a >> 2]" in source and "w[a >> 2] = x[5]" in source
     assert "mem.write(" not in source
