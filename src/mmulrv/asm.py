@@ -14,18 +14,12 @@ import keyword
 
 from . import isa
 from .encoding import (OPCODE_JALR, OPCODE_LOAD, OPCODE_LUI, OPCODE_OP,
-                       OPCODE_OP_IMM, OPCODE_STORE, OPCODE_SYSTEM, encode_b,
-                       encode_i, encode_j, encode_r, encode_r4, encode_s,
-                       encode_u)
-from .errors import RegisterOutOfRange, SimError
+                       OPCODE_OP_IMM, OPCODE_STORE, OPCODE_SYSTEM,
+                       check_registers, encode_b, encode_i, encode_j,
+                       encode_r, encode_r4, encode_s, encode_u)
+from .errors import SimError
 
 IMM12 = (-2048, 2047)  # I- and S-type immediates
-
-
-def _reg(*regs):
-    for r in regs:
-        if not 0 <= r <= 15:
-            raise RegisterOutOfRange(f"x{r} not valid under RV32E")
 
 
 def _fits(what, value, bounds):
@@ -40,32 +34,32 @@ class Asm:
         self.words = []
         self.labels = {}
         self.fixups = []  # (word_index, kind, label, partial encoding args)
-        self.listing = []
+        self.listing = []  # (word index, text), or (None, text) of a label
 
     @property
     def pc(self):
         return self.base + 4 * len(self.words)
 
     def _emit(self, word, text):
+        self.listing.append((len(self.words), text))
         self.words.append(word)
-        self.listing.append(f"{self.pc - 4:08x}: {word:08x}  {text}")
 
     def label(self, name):
         if name in self.labels:
             raise SimError(f"duplicate label {name!r}")
         self.labels[name] = self.pc
-        self.listing.append(f"{name}:")
+        self.listing.append((None, f"{name}:"))
 
     # -- outside the decoder's tables (the rest are added below) ----------
 
     def lui(self, rd, imm20):
-        _reg(rd)
+        check_registers(rd)
         _fits("lui immediate", imm20, (0, 0xFFFFF))
         self._emit(encode_u(OPCODE_LUI, rd, imm20),
                    f"lui x{rd}, 0x{imm20:x}")
 
     def jalr(self, rd, rs1, imm=0):
-        _reg(rd, rs1)
+        check_registers(rd, rs1)
         _fits("jalr offset", imm, IMM12)
         self._emit(encode_i(OPCODE_JALR, 0, rd, rs1, imm),
                    f"jalr x{rd}, x{rs1}, {imm}")
@@ -80,7 +74,7 @@ class Asm:
     # -- label-relative ----------------------------------------------------
 
     def jal(self, rd, label):
-        _reg(rd)
+        check_registers(rd)
         self.fixups.append((len(self.words), "j", label, rd, 0))
         self._emit(0, f"jal x{rd}, {label}")
 
@@ -129,14 +123,19 @@ class Asm:
         return b"".join(w.to_bytes(4, "little") for w in self.words)
 
     def dump(self):
-        return "\n".join(self.listing)
+        """The listing of the words as `assemble` left them, label fix-ups
+        included."""
+        return "\n".join(
+            text if i is None else
+            f"{self.base + 4 * i:08x}: {self.words[i]:08x}  {text}"
+            for i, text in self.listing)
 
 
 # -- emitters derived from the decoder's tables, one per row ---------------
 
 def _alu(kind, f3, f7):
     def emit(self, rd, rs1, rs2):
-        _reg(rd, rs1, rs2)
+        check_registers(rd, rs1, rs2)
         self._emit(encode_r(OPCODE_OP, f3, f7, rd, rs1, rs2),
                    f"{kind} x{rd}, x{rs1}, x{rs2}")
     return emit
@@ -146,7 +145,7 @@ def _alu_imm(kind, f3, f7):  # a shift's funct7 sits in imm[11:5]
     bounds = (0, 31) if f3 == 1 or f3 == 5 else IMM12
 
     def emit(self, rd, rs1, imm):
-        _reg(rd, rs1)
+        check_registers(rd, rs1)
         _fits(f"{kind} immediate", imm, bounds)
         self._emit(encode_i(OPCODE_OP_IMM, f3, rd, rs1, (f7 << 5) | imm),
                    f"{kind} x{rd}, x{rs1}, {imm}")
@@ -155,7 +154,7 @@ def _alu_imm(kind, f3, f7):  # a shift's funct7 sits in imm[11:5]
 
 def _load(kind, f3):
     def emit(self, rd, rs1, imm=0):
-        _reg(rd, rs1)
+        check_registers(rd, rs1)
         _fits(f"{kind} offset", imm, IMM12)
         self._emit(encode_i(OPCODE_LOAD, f3, rd, rs1, imm),
                    f"{kind} x{rd}, {imm}(x{rs1})")
@@ -164,7 +163,7 @@ def _load(kind, f3):
 
 def _store(kind, f3):
     def emit(self, rs2, rs1, imm=0):
-        _reg(rs2, rs1)
+        check_registers(rs2, rs1)
         _fits(f"{kind} offset", imm, IMM12)
         self._emit(encode_s(OPCODE_STORE, f3, rs1, rs2, imm),
                    f"{kind} x{rs2}, {imm}(x{rs1})")
@@ -173,12 +172,12 @@ def _store(kind, f3):
 
 def _csr(kind, f3, imm_form):  # an immediate form's rs1 is its 5-bit zimm
     def emit(self, rd, csr, rs1):
-        _reg(rd)
+        check_registers(rd)
         _fits("CSR number", csr, (0, 0xFFF))
         if imm_form:
             _fits(f"{kind} immediate", rs1, (0, 31))
         else:
-            _reg(rs1)
+            check_registers(rs1)
         src = rs1 if imm_form else f"x{rs1}"
         self._emit(encode_i(OPCODE_SYSTEM, f3, rd, rs1, csr),
                    f"{kind} x{rd}, 0x{csr:03x}, {src}")
@@ -193,7 +192,7 @@ def _system(kind, word):
 
 def _branch(kind, f3):
     def emit(self, rs1, rs2, label):
-        _reg(rs1, rs2)
+        check_registers(rs1, rs2)
         self.fixups.append((len(self.words), "b", label, rs1, rs2, f3))
         self._emit(0, f"{kind} x{rs1}, x{rs2}, {label}")
     return emit

@@ -48,6 +48,17 @@ def encode_j(rd, imm):
         | (rd << 7) | OPCODE_JAL
 
 
+def check_registers(*regs, fields=None):
+    """Raise RegisterOutOfRange for the first of `regs` outside x0..x15,
+    prefixed with its entry in `fields` when given."""
+    for field, r in zip(fields or ("",) * len(regs), regs):
+        if not 0 <= r <= 15:
+            raise RegisterOutOfRange(f"{field}x{r} not valid under RV32E")
+
+
+_R4_FIELDS = ("rd=", "rs1=", "rs2=", "rs3=")
+
+
 def encode_r4(rd, rs1, rs2, rs3, words):
     """Pack an MMUL instruction.
 
@@ -55,9 +66,8 @@ def encode_r4(rd, rs1, rs2, rs3, words):
     rd[11:7] opcode[6:0].  The 5-bit length code (words - 1) is split as
     fnc2 = len[4:3], fnc3 = len[2:0].
     """
-    for name, r in (("rd", rd), ("rs1", rs1), ("rs2", rs2), ("rs3", rs3)):
-        if not 0 <= r <= 15:
-            raise RegisterOutOfRange(f"{name}=x{r} not valid under RV32E")
+    if (rd | rs1 | rs2 | rs3) & ~15:  # one test; the message only on failure
+        check_registers(rd, rs1, rs2, rs3, fields=_R4_FIELDS)
     if not 1 <= words <= 32:
         raise WordsOutOfRange(f"words={words} outside 1..32")
     ln = words - 1  # R-type with funct7 = rs3:fnc2
@@ -75,9 +85,8 @@ def decode_r4(word):
     rs2 = (word >> 20) & 0x1F
     fnc2 = (word >> 25) & 0x3
     rs3 = (word >> 27) & 0x1F
-    for name, r in (("rd", rd), ("rs1", rs1), ("rs2", rs2), ("rs3", rs3)):
-        if r > 15:
-            raise RegisterOutOfRange(f"{name}=x{r} not valid under RV32E")
+    if (rd | rs1 | rs2 | rs3) & ~15:
+        check_registers(rd, rs1, rs2, rs3, fields=_R4_FIELDS)
     return {"rd": rd, "rs1": rs1, "rs2": rs2, "rs3": rs3,
             "words": ((fnc2 << 3) | fnc3) + 1}
 

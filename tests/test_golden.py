@@ -1,6 +1,7 @@
 """Every guest x config at default inputs against pinned results: its run
 counts against perfbench/golden.json (read here and never written), and
-its image against the SHA-256 pins in tests/guest_images.json."""
+its image against the SHA-256 pins in tests/guest_images.json; and its
+listing against its image."""
 
 import hashlib
 import json
@@ -30,6 +31,20 @@ def test_guest_counts_match_golden(key):
     _, stats = run_guest(build_guest(name, config))
     assert (stats.stop_reason, stats.exit_code) == ("halt", 0)
     assert {f: getattr(stats, f) for f in FIELDS} == TABLE[key]
+
+
+@pytest.mark.parametrize("key", sorted(TABLE))
+def test_listing_shows_the_words_of_the_image(key):
+    """Every listed word is the image's word at its address, a branch or
+    jump to a label after its fix-up included."""
+    guest = build_guest(*key.split("/"))
+    listed = {}
+    for line in guest.listing.splitlines():
+        if " " in line:  # not a label line
+            addr, word = line.split()[:2]
+            listed[int(addr.rstrip(":"), 16)] = int(word, 16)
+    assert listed == {guest.entry + 4 * i: word
+                      for i, word in enumerate(guest.code_words())}
 
 
 def image_pins():
