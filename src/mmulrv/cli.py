@@ -213,6 +213,7 @@ def cmd_selftest(args):
     failures = 0
     for words in range(1, args.words + 1):
         n_bits = 32 * words
+        failed_before = failures
         for _ in range(args.vectors):
             n_mod = max(rng.getrandbits(n_bits) | 1, 3)
             a = rng.randrange(n_mod)
@@ -229,7 +230,7 @@ def cmd_selftest(args):
                 failures += 1
                 print(f"FAIL words={words} a={a:#x} b={b:#x} n={n_mod:#x}")
         print(f"words={words}: {args.vectors} vectors "
-              f"{'ok' if failures == 0 else 'FAILED'}")
+              f"{'ok' if failures == failed_before else 'FAILED'}")
     print("selftest " + ("PASSED" if failures == 0 else
                          f"FAILED ({failures} vectors)"))
     return EXIT_OK if failures == 0 else EXIT_ERROR

@@ -331,11 +331,23 @@ def test_selftest_passes(capsys):
     assert "selftest PASSED" in out
 
 
-def test_selftest_checks_every_width_up_to_words(capsys):
-    assert main(["selftest", "--words", "3", "--vectors", "2"]) == EXIT_OK
+def test_selftest_reports_every_width_up_to_words(capsys, monkeypatch):
+    """One line for each width from 1 word to --words, by its own
+    vectors: a failure at one width leaves the others ok."""
+    argv = ["selftest", "--words", "3", "--vectors", "2"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "words=1: 2 vectors ok", "words=2: 2 vectors ok",
+        "words=3: 2 vectors ok", "selftest PASSED"]
+    reference = cli.r2mm_reference
+    monkeypatch.setattr(cli, "r2mm_reference", lambda a, b, n, n_bits:
+                        reference(a, b, n, n_bits) + (n_bits == 64))
+    assert main(argv) == EXIT_ERROR
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines[:-1]] == \
-        ["words=1", "words=2", "words=3"]
+    assert [line for line in lines if line.startswith("words=")] == [
+        "words=1: 2 vectors ok", "words=2: 2 vectors FAILED",
+        "words=3: 2 vectors ok"]
+    assert lines[-1] == "selftest FAILED (2 vectors)"
 
 
 def test_selftest_seed_env(capsys, monkeypatch):
