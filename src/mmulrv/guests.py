@@ -13,7 +13,8 @@ x10..x13 subroutine arguments (a_ptr, b_ptr, n_ptr, p_ptr), x3..x9/x14/x15
 caller-saved scratch.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 from .asm import Asm
 from .errors import GuestNotFound, InvalidConfig, UnknownInput
@@ -49,10 +50,6 @@ class FieldContext:
         return 32 * self.words
 
     @property
-    def r_mod_n(self):
-        return (1 << self.n_bits) % self.modulus
-
-    @property
     def r2_mod_n(self):
         return pow(1 << self.n_bits, 2, self.modulus)
 
@@ -85,7 +82,7 @@ class GuestProgram:
     data_init: list
     listing: str
     budget_hint: int
-    meta: dict = field(default_factory=dict)
+    meta: dict  # the resolved inputs it was built from
 
     def load(self, machine):
         machine.load_image(self.code, self.entry)
@@ -257,8 +254,6 @@ def emit_montmul_subroutine(a, dl, ctx, config):
     if config == "BA":
         emit_software_montmul(a, dl, ctx)
         return
-    if config not in CONFIGS:
-        raise InvalidConfig(f"unknown configuration {config!r}")
     a.label("montmul")
     # CI-PE: n_bits identical issues; the caller sets the mode bit once
     for _ in range(ctx.n_bits if config == "CI-PE" else 1):
@@ -347,15 +342,23 @@ def _call(a, dl, sym_a, sym_b, sym_p, target="montmul", sym_n="modulus"):
     a.jal(1, target)
 
 
-def _prologue(a, dl, config, with_irq_harness=False):
-    """Entry stub: mailbox pointer, optional trap handler, mode select.
+def _frame(config, inputs, irq=False):
+    """The start of every guest: its field, its data layout with the
+    mailbox and modulus words first, and its code from the prologue on,
+    as (ctx, dl, a).  `_program` ends it.
 
-    When the interrupt harness is enabled the layout is:
+    The prologue sets the mailbox pointer and, for CI-PE, the mode bit.
+    With `irq` it also installs the interrupt harness, laid out as
       entry: j start / handler: ... / start: ...
     so the handler address is known without a second pass.
     """
+    ctx = FieldContext(inputs["modulus"], inputs["words"])
+    dl = DataLayout()
+    dl.alloc("mailbox", 4)
+    dl.alloc("modulus", ctx.words, ctx.modulus)
+    a = Asm(base=CODE_BASE)
     a.li(2, dl.addr("mailbox"))
-    if with_irq_harness:
+    if irq:
         a.j("hx_start")
         a.label("hx_handler")
         a.sw(5, 2, 8)
@@ -380,40 +383,41 @@ def _prologue(a, dl, config, with_irq_harness=False):
         a.csrrwi(0, MSTATUS, 8)  # MIE
     if config == "CI-PE":
         a.csrrwi(0, MMUL_MODE, 1)
+    return ctx, dl, a
 
 
-def _halt(a):
+def _program(name, config, inputs, frame, budgets, *subroutines):
+    """The end of every guest: the halt, then the montmul subroutine and
+    `subroutines`.  `budgets` holds its cycle cap under BA and under the
+    MMUL configs; `meta` is `inputs`."""
+    ctx, dl, a = frame
     a.li(10, 0)
     a.ecall()
-
-
-def _program(name, config, a, dl, budget_hint, meta):
+    emit_montmul_subroutine(a, dl, ctx, config)
+    for emit in subroutines:
+        emit(a, dl, ctx)
     return GuestProgram(
         name=name, config=config, code=a.assemble(), entry=CODE_BASE,
         data=dict(dl.symbols), data_init=list(dl.init), listing=a.dump(),
-        budget_hint=budget_hint, meta=meta)
+        budget_hint=budgets[config != "BA"], meta=inputs)
 
 
-def emit_modexp(ctx, exponent_bits, base, exponent, config,
-                with_irq_harness=False, name="modexp"):
+def emit_modexp(name, config, inputs):
     """Left-to-right square-and-multiply in the Montgomery domain."""
+    ctx, dl, a = frame = _frame(config, inputs)
+    exponent_bits = inputs["exponent_bits"]
     if exponent_bits < 1 or exponent_bits > 32:
         raise InvalidConfig("exponent_bits must be in 1..32 at desk scale")
-    dl = DataLayout()
     W = ctx.words
-    dl.alloc("mailbox", 4)
-    dl.alloc("modulus", W, ctx.modulus)
     dl.alloc("r2", W, ctx.r2_mod_n)
     dl.alloc("one", W, 1)
-    dl.alloc("base", W, base % ctx.modulus)
-    dl.alloc("exponent", 1, exponent & 0xFFFFFFFF)
+    dl.alloc("base", W, inputs["base"] % ctx.modulus)
+    dl.alloc("exponent", 1, inputs["exponent"] & 0xFFFFFFFF)
     dl.alloc("acc", W)
     dl.alloc("base_mont", W)
     dl.alloc("result", W)
     dl.alloc("idx", 1)
 
-    a = Asm(base=CODE_BASE)
-    _prologue(a, dl, config, with_irq_harness)
     _call(a, dl, "one", "r2", "acc")          # acc = R mod N
     _call(a, dl, "base", "r2", "base_mont")   # to Montgomery domain
     a.li(5, dl.addr("idx"))
@@ -438,34 +442,27 @@ def emit_modexp(ctx, exponent_bits, base, exponent, config,
     a.lw(6, 5, 0)
     a.bne(6, 0, "mx_loop")
     _call(a, dl, "acc", "one", "result")      # leave the domain
-    _halt(a)
-    emit_montmul_subroutine(a, dl, ctx, config)
-
-    return _program(
-        name, config, a, dl, 200_000_000 if config == "BA" else 5_000_000,
-        {"modulus": ctx.modulus, "words": W, "base": base,
-         "exponent": exponent, "exponent_bits": exponent_bits})
+    return _program(name, config, inputs, frame, (200_000_000, 5_000_000))
 
 
-def emit_ladder_x25519_field(scalar, u, config, scalar_bits=None,
-                             name="x25519_ladder"):
+def emit_ladder_x25519_field(name, config, inputs):
     """Montgomery-ladder scalar multiplication over the 2^255 - 19 field.
 
     Outputs the projective x-coordinate pair (out_x, out_z); the host-side
-    oracle runs the identical ladder on plain integers.
+    oracle runs the identical ladder on plain integers.  A `scalar_bits`
+    of None resolves to the scalar's bit length.
     """
-    ctx = FieldContext(P25519, 8)
+    ctx, dl, a = frame = _frame(config, inputs)
+    scalar, scalar_bits = inputs["scalar"], inputs["scalar_bits"]
     if scalar_bits is None:
         scalar_bits = max(scalar.bit_length(), 1)
+        inputs = {**inputs, "scalar_bits": scalar_bits}
     if scalar_bits < 1 or scalar_bits > 32:  # the scalar sits in one word
         raise InvalidConfig("scalar_bits must be in 1..32 at desk scale")
     W = ctx.words
-    dl = DataLayout()
-    dl.alloc("mailbox", 4)
-    dl.alloc("modulus", W, ctx.modulus)
     dl.alloc("r2", W, ctx.r2_mod_n)
     dl.alloc("one", W, 1)
-    dl.alloc("u", W, u % ctx.modulus)
+    dl.alloc("u", W, inputs["u"] % ctx.modulus)
     dl.alloc("scalar", 1, scalar & 0xFFFFFFFF)
     dl.alloc("a24", W, A24)
     dl.alloc("a24_mont", W)
@@ -482,8 +479,6 @@ def emit_ladder_x25519_field(scalar, u, config, scalar_bits=None,
     dl.alloc("idx", 1)
     dl.alloc("swapv", 1, 0)
 
-    a = Asm(base=CODE_BASE)
-    _prologue(a, dl, config)
     _call(a, dl, "u", "r2", "x1_mont")
     _call(a, dl, "one", "r2", "lad_x2")   # x2 = 1 (domain)
     _call(a, dl, "u", "r2", "lad_x3")     # x3 = u (domain)
@@ -534,16 +529,8 @@ def emit_ladder_x25519_field(scalar, u, config, scalar_bits=None,
     a.jal(1, "cswap")
     _call(a, dl, "lad_x2", "one", "out_x")
     _call(a, dl, "lad_z2", "one", "out_z")
-    _halt(a)
-    emit_montmul_subroutine(a, dl, ctx, config)
-    emit_field_add(a, dl, ctx)
-    emit_field_sub(a, dl, ctx)
-    emit_cswap(a, dl, ctx)
-
-    return _program(
-        name, config, a, dl, 400_000_000 if config == "BA" else 10_000_000,
-        {"modulus": ctx.modulus, "words": W, "scalar": scalar,
-         "scalar_bits": scalar_bits, "u": u})
+    return _program(name, config, inputs, frame, (400_000_000, 10_000_000),
+                    emit_field_add, emit_field_sub, emit_cswap)
 
 
 def ladder_reference(u, scalar, scalar_bits, p=P25519):
@@ -580,25 +567,15 @@ def ladder_reference(u, scalar, scalar_bits, p=P25519):
     return x2, z2
 
 
-def emit_single_montmul(ctx, a_val, b_val, config, with_irq_harness=False,
-                        name="montmul_once"):
-    """One modular multiplication on fixed operands; the interrupt-latency
-    sweep target."""
-    dl = DataLayout()
-    W = ctx.words
-    dl.alloc("mailbox", 4)
-    dl.alloc("modulus", W, ctx.modulus)
-    dl.alloc("op_a", W, a_val % ctx.modulus)
-    dl.alloc("op_b", W, b_val % ctx.modulus)
-    dl.alloc("result", W)
-    a = Asm(base=CODE_BASE)
-    _prologue(a, dl, config, with_irq_harness)
+def emit_single_montmul(name, config, inputs):
+    """One modular multiplication on fixed operands, with the interrupt
+    harness when `irq` is on; the interrupt-latency sweep target."""
+    ctx, dl, a = frame = _frame(config, inputs, inputs["irq"])
+    dl.alloc("op_a", ctx.words, inputs["a"] % ctx.modulus)
+    dl.alloc("op_b", ctx.words, inputs["b"] % ctx.modulus)
+    dl.alloc("result", ctx.words)
     _call(a, dl, "op_a", "op_b", "result")
-    _halt(a)
-    emit_montmul_subroutine(a, dl, ctx, config)
-    return _program(
-        name, config, a, dl, 50_000_000 if config == "BA" else 1_000_000,
-        {"modulus": ctx.modulus, "words": W, "a": a_val, "b": b_val})
+    return _program(name, config, inputs, frame, (50_000_000, 1_000_000))
 
 
 # ---------------------------------------------------------------------------
@@ -607,20 +584,29 @@ def emit_single_montmul(ctx, a_val, b_val, config, with_irq_harness=False,
 
 _IRQ_A = 0x1234567890ABCDEF1122334455667788 * (1 << 124) + 987654321
 _IRQ_B = 0x0FEDCBA987654321AABBCCDDEEFF0011 * (1 << 120) + 123456789
-_IRQ_SWEEP_CONFIG = {"irq_sweep_atomic": "CI-AE", "irq_sweep_partial": "CI-PE"}
+_SWEEP = {"modulus": P25519, "a": _IRQ_A, "b": _IRQ_B}
 
-
-# guest name -> its inputs and their defaults, the names --set may override
-_INPUTS = {
-    "modexp128": {"modulus": P128, "exponent_bits": 16, "base": 3,
-                  "exponent": 0xB105},
-    "modexp256": {"modulus": P25519, "exponent_bits": 16, "base": 5,
-                  "exponent": 0xC0DE},
-    "x25519_ladder": {"scalar": 0x2B, "u": 9, "scalar_bits": None},
-    **{name: {"modulus": P25519, "a": _IRQ_A, "b": _IRQ_B}
-       for name in _IRQ_SWEEP_CONFIG},
-    "montmul_once": {"modulus": P25519, "words": 8, "a": _IRQ_A, "b": _IRQ_B,
-                     "irq": False},
+# One entry per guest: its builder, the inputs --set may override with
+# their defaults, the inputs fixed for it, and the configs it builds
+# under.  The builder gets every input resolved.
+_Guest = namedtuple("_Guest", "build inputs fixed configs")
+_GUESTS = {
+    "modexp128": _Guest(emit_modexp, {
+        "modulus": P128, "exponent_bits": 16, "base": 3, "exponent": 0xB105},
+        {"words": 4}, CONFIGS),
+    "modexp256": _Guest(emit_modexp, {
+        "modulus": P25519, "exponent_bits": 16, "base": 5,
+        "exponent": 0xC0DE}, {"words": 8}, CONFIGS),
+    "x25519_ladder": _Guest(emit_ladder_x25519_field, {
+        "scalar": 0x2B, "u": 9, "scalar_bits": None},
+        {"modulus": P25519, "words": 8}, CONFIGS),
+    "irq_sweep_atomic": _Guest(emit_single_montmul, _SWEEP,
+                               {"words": 8, "irq": True}, ("CI-AE",)),
+    "irq_sweep_partial": _Guest(emit_single_montmul, _SWEEP,
+                                {"words": 8, "irq": True}, ("CI-PE",)),
+    "montmul_once": _Guest(emit_single_montmul, {
+        "modulus": P25519, "words": 8, "a": _IRQ_A, "b": _IRQ_B,
+        "irq": False}, {}, CONFIGS),
 }
 
 
@@ -629,31 +615,18 @@ def build_guest(name, config, params=None):
     overrides some of the guest's inputs."""
     if config not in CONFIGS:
         raise InvalidConfig(f"unknown configuration {config!r}")
-    if name not in _INPUTS:
+    if name not in _GUESTS:
         raise GuestNotFound(name)
-    unknown = sorted(set(params or ()) - set(_INPUTS[name]))
+    guest = _GUESTS[name]
+    unknown = sorted(set(params or ()) - set(guest.inputs))
     if unknown:
         raise UnknownInput(f"{name} has no input {', '.join(unknown)}; "
-                           f"its inputs are {', '.join(_INPUTS[name])}")
-    p = {**_INPUTS[name], **(params or {})}
-    if name in ("modexp128", "modexp256"):
-        ctx = FieldContext(p["modulus"], 4 if name == "modexp128" else 8)
-        return emit_modexp(ctx, p["exponent_bits"], p["base"], p["exponent"],
-                           config, name=name)
-    if name == "x25519_ladder":
-        return emit_ladder_x25519_field(p["scalar"], p["u"], config,
-                                        scalar_bits=p["scalar_bits"],
-                                        name=name)
-    if name in _IRQ_SWEEP_CONFIG:
-        if config != _IRQ_SWEEP_CONFIG[name]:
-            raise InvalidConfig(
-                f"{name} requires config {_IRQ_SWEEP_CONFIG[name]}")
-        ctx = FieldContext(p["modulus"], 8)
-        return emit_single_montmul(ctx, p["a"], p["b"], config,
-                                   with_irq_harness=True, name=name)
-    ctx = FieldContext(p["modulus"], p["words"])  # montmul_once
-    return emit_single_montmul(ctx, p["a"], p["b"], config,
-                               with_irq_harness=p["irq"], name=name)
+                           f"its inputs are {', '.join(guest.inputs)}")
+    if config not in guest.configs:
+        raise InvalidConfig(
+            f"{name} requires config {' or '.join(guest.configs)}")
+    return guest.build(name, config,
+                       {**guest.inputs, **(params or {}), **guest.fixed})
 
 
-GUEST_NAMES = tuple(_INPUTS)
+GUEST_NAMES = tuple(_GUESTS)

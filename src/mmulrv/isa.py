@@ -393,11 +393,12 @@ def _plus(a, imm):
     return f"{a} + {imm & M32} & 0xFFFFFFFF" if imm else a
 
 
-def _translate(pc, raws, read_latency, write_latency):
-    """The block of fetch units `raws` at `pc` as (run, end): `run(m, limit)`
-    retires it, adding its counts in bulk, and returns its cycles, or only
-    its first instruction if its last would start `limit` or more cycles
-    after the block does; `end` is the end of its fetch windows.
+def _translate(pc, decodes, read_latency, write_latency):
+    """The block of the decoded units `decodes` at `pc` as (run, end):
+    `run(m, limit)` retires it, adding its counts in bulk, and returns its
+    cycles, or only its first instruction if its last would start `limit`
+    or more cycles after the block does; `end` is the end of its fetch
+    windows.
 
     An access that would fault retires the instructions before it, leaves
     m.pc at it and calls the machine's LSU, which raises.  Past that test,
@@ -416,8 +417,7 @@ def _translate(pc, raws, read_latency, write_latency):
 
     lines = []
     at = pc
-    for i, raw in enumerate(raws):
-        d = decode(raw)
+    for i, d in enumerate(decodes):
         case, value = _EXECUTE[d.kind]
         if i == 1:  # where the first instruction alone retires
             split = len(lines), retire(at)
@@ -451,7 +451,7 @@ def _translate(pc, raws, read_latency, write_latency):
                                 if value[1] else ")"))
             else:  # a write below code_top invalidates what it overlaps,
                 # and the rest of the block may have been rewritten
-                rest = [retire(after)] if i < len(raws) - 1 else []
+                rest = [retire(after)] if i < len(decodes) - 1 else []
                 if n == 4:
                     lines.append(f"w[a >> 2] = {b}")
                     rest.insert(0, "mem.invalidate(a, a + 4)")
@@ -473,7 +473,7 @@ def _translate(pc, raws, read_latency, write_latency):
             after = target
         last, at = at, (at + d.length) & M32
     lines.append(retire(after))
-    if len(raws) > 1:  # `head`: the cycle at which the last one starts
+    if len(decodes) > 1:  # `head`: the cycle at which the last one starts
         lines.insert(split[0], f"if limit <= {head}: {split[1]}")
     if reads or writes:  # only a block that accesses memory binds it
         lines.insert(0, "mem = m.mem; data = mem.data; w = mem.words; "
@@ -535,9 +535,8 @@ def _block_at(mem, pc):
     decoding the first unit raises and caches nothing; a later one ends
     the block.  An entry whose windows lie inside the image the memory
     shares its blocks for is added to that image's table."""
-    raw = mem.fetch_unit(pc)
-    first = d = decode(raw)
-    raws, at = [], pc
+    first = d = decode(mem.fetch_unit(pc))
+    decodes, at = [], pc
     if d.kind == "mmul":
         units = []
         try:
@@ -554,17 +553,16 @@ def _block_at(mem, pc):
                           unit, end))
         return mem.blocks[pc]
     while d.kind in _TRANSLATED:
-        raws.append(raw)
+        decodes.append(d)
         at = (at + d.length) & M32
         if _EXECUTE[d.kind][0] in ("branch", "jump"):
             break
         try:
-            raw = mem.fetch_unit(at)
-            d = decode(raw)
+            d = decode(mem.fetch_unit(at))
         except SimError:
             break
-    run, end = (partial(_executed, first, pc), pc + 4) if not raws else \
-        _translate(pc, tuple(raws), mem.read_latency, mem.write_latency)
+    run, end = (partial(_executed, first, pc), pc + 4) if not decodes else \
+        _translate(pc, decodes, mem.read_latency, mem.write_latency)
     return mem.keep(pc, (run, first, end))
 
 

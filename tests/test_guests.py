@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +20,6 @@ class TestFieldContext:
     def test_montgomery_constants(self):
         ctx = FieldContext(239, 1)
         assert ctx.n_bits == 32
-        assert ctx.r_mod_n == (1 << 32) % 239
         assert ctx.r2_mod_n == pow(1 << 32, 2, 239)
 
     def test_even_modulus_rejected(self):
@@ -80,9 +80,10 @@ class TestSingleMultiplication:
 
 class TestModexp:
     def test_known_answer_small(self):
-        ctx = FieldContext(239, 1)
+        inputs = {"modulus": 239, "words": 1, "exponent_bits": 4, "base": 2,
+                  "exponent": 10}
         for config in CONFIGS:
-            guest = emit_modexp(ctx, 4, 2, 10, config)
+            guest = emit_modexp("modexp", config, inputs)
             machine, stats = run_guest(guest)
             assert stats.stop_reason == "halt"
             assert guest.read_value(machine, "result") == 68  # 2^10 mod 239
@@ -116,7 +117,9 @@ class TestModexp:
 
     def test_exponent_width_guard(self):
         with pytest.raises(InvalidConfig):
-            emit_modexp(FieldContext(239, 1), 40, 2, 3, "BA")
+            emit_modexp("modexp", "BA", {"modulus": 239, "words": 1,
+                                         "exponent_bits": 40, "base": 2,
+                                         "exponent": 3})
 
 
 class TestLadder:
@@ -168,11 +171,10 @@ class TestCodeShape:
 
     @pytest.mark.parametrize("name", guests.GUEST_NAMES)
     def test_every_guest_decodes_cleanly(self, name):
-        config = {"irq_sweep_atomic": "CI-AE",
-                  "irq_sweep_partial": "CI-PE"}.get(name, "CI-AE")
-        guest = build_guest(name, config)
-        for w in guest.code_words():
-            isa.decode(w)  # raises on any bad encoding
+        for config in guests._GUESTS[name].configs:
+            guest = build_guest(name, config)
+            for w in guest.code_words():
+                isa.decode(w)  # raises on any bad encoding
 
 
 class TestRegistry:
@@ -186,8 +188,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", guests.GUEST_NAMES)
     def test_unknown_input_rejected(self, name):
-        config = {"irq_sweep_atomic": "CI-AE",
-                  "irq_sweep_partial": "CI-PE"}.get(name, "BA")
+        config = guests._GUESTS[name].configs[0]
         with pytest.raises(UnknownInput,
                            match=f"^{name} has no input modulo, z; its "
                                  "inputs are "):
@@ -198,6 +199,51 @@ class TestRegistry:
             build_guest("irq_sweep_atomic", "BA")
         with pytest.raises(InvalidConfig):
             build_guest("irq_sweep_partial", "CI-AE")
+
+    @pytest.mark.parametrize("name", ("irq_sweep_atomic",
+                                      "irq_sweep_partial"))
+    def test_sweep_guests_are_montmul_once_with_irq(self, name):
+        """An irq_sweep guest is montmul_once at 8 words with the
+        interrupt harness, under its one config, and those two inputs are
+        fixed."""
+        (config,) = guests._GUESTS[name].configs
+        sweep = build_guest(name, config)
+        once = build_guest("montmul_once", config, {"irq": 1})
+        for field in ("code", "data_init", "listing", "budget_hint"):
+            assert getattr(sweep, field) == getattr(once, field), field
+        for fixed in ("words", "irq"):
+            with pytest.raises(UnknownInput, match=f"has no input {fixed};"):
+                build_guest(name, config, {fixed: 1})
+
+
+def _value(v):
+    """An input value as the README's guest table shows it."""
+    if v is None:
+        return "unset"
+    v = int(v)
+    if v.bit_length() <= 32:
+        return str(v) if v < 1024 else hex(v)
+    gap = (1 << v.bit_length()) - v
+    return f"2^{v.bit_length()} - {gap}" if gap < 1024 else \
+        f"a {v.bit_length()}-bit constant"
+
+
+def guest_table():
+    """README's "Guests" table, rendered from the guest registry."""
+    def inputs(values):
+        return ", ".join(f"`{k}` = {_value(v)}" for k, v in values.items()) \
+            or "none"
+    rows = ["| Guest | Configs | `--set` inputs and defaults | Fixed inputs |",
+            "|---|---|---|---|"]
+    for name, guest in guests._GUESTS.items():
+        rows.append(f"| `{name}` | {', '.join(guest.configs)} | "
+                    f"{inputs(guest.inputs)} | {inputs(guest.fixed)} |")
+    return "\n".join(rows) + "\n"
+
+
+def test_readme_guest_table_matches_the_registry():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    assert guest_table() in readme.read_text(), guest_table()
 
 
 SMALL = {"modulus": 239, "words": 1, "a": 100, "b": 55}
