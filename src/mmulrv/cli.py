@@ -213,20 +213,28 @@ def cmd_selftest(args):
     failures = 0
     for words in range(1, args.words + 1):
         n_bits = 32 * words
+        addrs = [DATA_BASE + 4 * words * i for i in range(4)]  # A B N P
+        ops = MmulOperands(*addrs, words)
         failed_before = failures
         for _ in range(args.vectors):
             n_mod = max(rng.getrandbits(n_bits) | 1, 3)
             a = rng.randrange(n_mod)
             b = rng.randrange(n_mod)
             expect = (a * b * pow(1 << n_bits, -1, n_mod)) % n_mod
-            machine = Machine(max_words=args.words)
-            addrs = [DATA_BASE + 4 * words * i for i in range(4)]  # A B N P
-            for addr, val in zip(addrs, (a, b, n_mod)):
-                machine.load_image(val.to_bytes(4 * words, "little"), addr)
-            machine.engine.execute_atomic(machine, MmulOperands(*addrs, words))
-            got = machine.mem.read(addrs[3], 4 * words)
+            runs = []  # (result, total cycles): atomic, then partial
+            for partial in (False, True):
+                machine = Machine(max_words=args.words)
+                for addr, val in zip(addrs, (a, b, n_mod)):
+                    machine.load_image(val.to_bytes(4 * words, "little"), addr)
+                engine = machine.engine
+                if partial:
+                    cycles = sum(engine.execute_partial_call(
+                        machine, ops).cycles for _ in range(n_bits))
+                else:
+                    cycles = engine.execute_atomic(machine, ops).cycles
+                runs.append((machine.mem.read(addrs[3], 4 * words), cycles))
             ref = r2mm_reference(a, b, n_mod, n_bits)
-            if got != expect or ref != expect:
+            if runs[0][0] != expect or runs[1] != runs[0] or ref != expect:
                 failures += 1
                 print(f"FAIL words={words} a={a:#x} b={b:#x} n={n_mod:#x}")
         print(f"words={words}: {args.vectors} vectors "
@@ -292,7 +300,8 @@ def build_parser():
     sp.set_defaults(func=cmd_compare, sweep=None)
 
     sp = sub.add_parser("selftest",
-                        help="engine vs big-integer oracle on random vectors")
+                        help="engine, atomic and partial, vs big-integer "
+                        "oracle on random vectors")
     sp.add_argument("--vectors", type=int, default=250)
     _add_words_arg(sp)
     sp.set_defaults(func=cmd_selftest)

@@ -1,9 +1,12 @@
 """Radix-2 Montgomery multiplication functional unit.
 
-Bit-serial recurrence at 2 cycles per processed bit plus one cycle for the
-final (unconditional, constant-time) subtraction.  Operands are multiword
-little-endian arrays in simulated memory; the engine latches their addresses,
-pulls them through the machine's load/store unit, and writes the result back.
+The modelled unit is bit-serial: 2 cycles per processed bit plus one cycle
+for the final (unconditional, constant-time) subtraction.  The host does not
+step it bit by bit: it computes up to 32 bits of the recurrence per step in
+closed form, with state bit-identical to the bit-serial unit after every
+call.  Operands are multiword little-endian arrays in simulated memory; the
+engine latches their addresses, pulls them through the machine's load/store
+unit, and writes the result back.
 
 Two execution shapes:
   * atomic - one call runs the whole multiplication;
@@ -74,6 +77,7 @@ class PartialCallResult:
 
 BIT_CYCLES = 2  # one bit of the recurrence, a middle partial call's cost
 _MIDDLE = PartialCallResult("middle", BIT_CYCLES)
+_CHUNK = 32  # bits of the recurrence per closed-form host step
 
 
 def address_generate(base, word_offset):
@@ -95,18 +99,21 @@ class MmulEngine:
 
     def reset(self):
         self.latched = None
+        self.n_bits = 0  # the latched operation's bit count
         self.s_accum = 0
         self.bit_index = 0
-        self.bits_a = ""  # A in binary, bit i at index i
+        self.buf_a = 0
         self.buf_b = 0
         self.buf_n = 0
+        self.n_inv = 0  # -N^-1 mod 2^32
 
     @property
     def busy(self):
         return self.latched is not None
 
     def status_word(self):
-        """Read-only status CSR: busy in bit 0, bit index in bits 8..15."""
+        """Read-only status CSR: busy in bit 0, the bit index mod 256 in
+        bits 8..15 (it wraps for operands above 8 words)."""
         return (1 if self.busy else 0) | ((self.bit_index & 0xFF) << 8)
 
     # -- datapath ----------------------------------------------------------
@@ -134,8 +141,9 @@ class MmulEngine:
             bufs.append(value)
         if bufs[2] % 2 == 0:
             raise EvenModulus("modulus loaded from memory is even")
-        a, self.buf_b, self.buf_n = bufs
-        self.bits_a = f"{a:0{ops.n_bits}b}"[::-1]
+        self.buf_a, self.buf_b, self.buf_n = bufs
+        self.n_inv = -pow(bufs[2] & 0xFFFFFFFF, -1, 1 << 32) & 0xFFFFFFFF
+        self.n_bits = ops.n_bits
         self.s_accum = 0
         self.bit_index = 0
         self.latched = ops
@@ -143,21 +151,38 @@ class MmulEngine:
 
     def advance(self, k):
         """k bits of the latched operation: for each bit a_i of A from
-        `bit_index` on, S += a_i * B; if S is odd, S += N; S >>= 1."""
+        `bit_index` on, S += a_i * B; if S is odd, S += N; S >>= 1.
+
+        The host takes the bits in chunks of c <= 32: S += A_c * B, A_c the
+        chunk's c bits of A; S += q * N, q = -S * N^-1 mod 2^c the one
+        q < 2^c that makes S divisible by 2^c; S >>= c.  The c bit steps
+        choose exactly q's bits, so S is the same (word-level Montgomery
+        reduction: Koc, Acar and Kaliski, IEEE Micro 1996).  A single bit,
+        the per-issue path, takes the bit step itself: it costs less than
+        a chunk."""
         i = self.bit_index
-        b, n, s = self.buf_b, self.buf_n, self.s_accum
-        for bit in self.bits_a[i:i + k]:
-            if bit == "1":
-                s += b
-            if s & 1:
-                s += n
-            s >>= 1
-        self.s_accum = s
         self.bit_index = i + k
+        s, a = self.s_accum, self.buf_a >> i
+        if k == 1:
+            if a & 1:
+                s += self.buf_b
+            if s & 1:
+                s += self.buf_n
+            self.s_accum = s >> 1
+            return
+        b, n, n_inv = self.buf_b, self.buf_n, self.n_inv
+        while k:
+            c = _CHUNK if k > _CHUNK else k
+            mask = (1 << c) - 1
+            s += (a & mask) * b
+            s = (s + ((s & mask) * n_inv & mask) * n) >> c
+            a >>= c
+            k -= c
+        self.s_accum = s
 
     def middle_left(self):
         """The middle calls left in the latched sequence."""
-        return self.latched.n_bits - 1 - self.bit_index
+        return self.n_bits - 1 - self.bit_index
 
     def _finish(self, machine):
         """Final subtraction and the words result stores; the engine is idle
@@ -181,7 +206,7 @@ class MmulEngine:
         of 3*words loads and words stores; the compute portion is
         data-independent by construction.
         """
-        if self.busy:
+        if self.latched is not None:
             raise SequenceBroken(
                 "atomic MMUL issued while a partial sequence is in flight")
         cycles = self._begin(machine, ops)
@@ -201,11 +226,11 @@ class MmulEngine:
         stores + 3 cycles).  Calls after the first ignore their register
         operands: the latched operation drives progress.
         """
-        if not self.busy:
+        if self.latched is None:
             cycles = self._begin(machine, ops) + BIT_CYCLES
             self.advance(1)
             return PartialCallResult("first", cycles)
         self.advance(1)
-        if self.bit_index < self.latched.n_bits:
+        if self.bit_index < self.n_bits:
             return _MIDDLE
         return PartialCallResult("last", BIT_CYCLES + self._finish(machine))

@@ -11,13 +11,13 @@ function (QEMU's translation blocks).  MMUL, CSR, `mret`, `ecall`,
 `ebreak` and `fence` have hand-written executors instead, each run as a
 one-instruction block, except that a straight run of MMUL units is one
 block: a middle issue of a partial sequence costs a fixed number of cycles,
-so the run retires in one call, with k bit steps of the engine, the middle
-issues that start before the wake.  A first, last or atomic issue, and one
-from a trap handler, retires alone through its executor.  `Memory.blocks`
-keeps one block per pc for both `Cpu.run` and `Cpu.step`; a block splits
-itself at the wake, a translated one retiring only its first instruction
-when the wake falls before its last one starts, so `step` runs the first
-instruction of the block at its pc.  Machines that
+so the run retires in one call, with one engine `advance` over k bits, the
+middle issues that start before the wake.  A first, last or atomic issue,
+and one from a trap handler, retires alone through its executor.
+`Memory.blocks` keeps one block per pc for both `Cpu.run` and `Cpu.step`; a
+block splits itself at the wake, a translated one retiring only its first
+instruction when the wake falls before its last one starts, so `step` runs
+the first instruction of the block at its pc.  Machines that
 load the same image share its blocks until one of them writes into it
 (see `Memory`).  A faulting access raises from inside its block, after the
 instructions before it retire.  Past the block's own alignment and bounds
@@ -349,7 +349,7 @@ def _mmul(m, d, pc, _):
     ops = MmulOperands(addr_a=regs[d.rs1], addr_b=regs[d.rs2],
                        addr_n=regs[d.rs3], addr_p=regs[d.rd],
                        words=d.words)
-    in_sequence = m.engine.busy
+    in_sequence = m.engine.latched is not None
     if in_sequence and m.in_handler:
         raise SequenceBroken("MMUL issued from a trap handler mid-sequence")
     if in_sequence or m.csr[MMUL_MODE] & 1:

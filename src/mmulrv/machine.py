@@ -21,7 +21,7 @@ MEPC = 0x341
 MCAUSE = 0x342
 MIP = 0x344
 MMUL_MODE = 0x7C0    # bit 0: partial-execution mode select
-MMUL_STATUS = 0x7C1  # read-only: busy bit 0, bit index bits 8..15
+MMUL_STATUS = 0x7C1  # read-only: busy bit 0, bit index mod 256 bits 8..15
 MCYCLE = 0xB00       # read-only cycle counter
 
 MSTATUS_MIE = 1 << 3

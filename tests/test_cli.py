@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from mmulrv import cli, isa
 from mmulrv.cli import (EXIT_BUDGET, EXIT_ERROR, EXIT_OK, EXIT_TRAP, main)
+from mmulrv.engine import MmulEngine
 
 RUN_KEYS = {"config", "total_cycles", "retired", "mem_reads", "mem_writes",
             "module_active_cycles", "interrupt_latencies",
@@ -343,6 +345,31 @@ def test_selftest_reports_every_width_up_to_words(capsys, monkeypatch):
     monkeypatch.setattr(cli, "r2mm_reference", lambda a, b, n, n_bits:
                         reference(a, b, n, n_bits) + (n_bits == 64))
     assert main(argv) == EXIT_ERROR
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("words=")] == [
+        "words=1: 2 vectors ok", "words=2: 2 vectors FAILED",
+        "words=3: 2 vectors ok"]
+    assert lines[-1] == "selftest FAILED (2 vectors)"
+
+
+@pytest.mark.parametrize("breaks", ["result", "cycles"])
+def test_selftest_fails_a_broken_partial_path(capsys, monkeypatch, breaks):
+    """Each vector also runs as 32*W partial calls on a fresh machine,
+    which must give the atomic run's result and total cycles."""
+    real = MmulEngine.execute_partial_call
+
+    def broken(engine, machine, ops):
+        res = real(engine, machine, ops)
+        if ops.words != 2 or res.call_kind != "last":
+            return res
+        if breaks == "cycles":
+            return replace(res, cycles=res.cycles + 1)
+        p = machine.mem.read(ops.addr_p, 8)
+        machine.load_image((p ^ 1).to_bytes(8, "little"), ops.addr_p)
+        return res
+
+    monkeypatch.setattr(MmulEngine, "execute_partial_call", broken)
+    assert main(["selftest", "--words", "3", "--vectors", "2"]) == EXIT_ERROR
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if line.startswith("words=")] == [
         "words=1: 2 vectors ok", "words=2: 2 vectors FAILED",

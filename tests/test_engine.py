@@ -201,6 +201,22 @@ class TestPartial:
             assert p_partial == p_atomic == mont_oracle(a, b, n, n_bits)
             assert sum(c.cycles for c in calls) == res.cycles
 
+    def test_status_csr_bit_index_wraps_above_8_words(self, rng):
+        # bits 8..15 hold the bit index mod 256: 300 reads as 44
+        words = 32
+        n = rng.getrandbits(1024) | 1 | (1 << 1023)
+        a, b = rng.randrange(n), rng.randrange(n)
+        m = make_machine(max_words=words)
+        aa, ab, an, ap = operand_block(m, a, b, n, words)
+        ops = MmulOperands(aa, ab, an, ap, words)
+        for _ in range(300):
+            m.engine.execute_partial_call(m, ops)
+        assert m.csr_access(MMUL_STATUS, "read") == 1 | (44 << 8)
+        for _ in range(1024 - 300):
+            m.engine.execute_partial_call(m, ops)
+        assert m.csr_access(MMUL_STATUS, "read") == 0
+        assert read_value(m, ap, words) == mont_oracle(a, b, n, 1024)
+
     def test_status_csr_reflects_progress(self):
         from mmulrv.machine import MMUL_STATUS
         m = make_machine()
@@ -248,3 +264,47 @@ class TestPartial:
         for _ in range(31):
             m.engine.execute_partial_call(m, garbage)
         assert read_value(m, ap, words) == mont_oracle(a, b, n, 32)
+
+
+def _bit_serial(s, a, b, n, start, k):
+    """k steps of the radix-2 recurrence from bit `start` of A, one bit at
+    a time: S += a_i * B; if S is odd, S += N; S >>= 1."""
+    for i in range(start, start + k):
+        if (a >> i) & 1:
+            s += b
+        if s & 1:
+            s += n
+        s >>= 1
+    return s
+
+
+class TestChunkedAdvance:
+    """`advance(k)` computes up to 32 bits per step in closed form; its
+    state must equal the bit-serial recurrence after every call."""
+
+    @given(data=st.data(), words=st.sampled_from([1, 2, 3, 8, 32]),
+           runs=st.lists(st.sampled_from([1, 2, 31, 32, 33, 64, None]),
+                         max_size=24))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bit_serial_after_every_call(self, data, words, runs):
+        n_bits = 32 * words
+        n = data.draw(st.integers(0, (1 << n_bits) - 1)) | 1
+        b = data.draw(st.integers(0, n - 1))
+        a = data.draw(st.integers(0, (1 << n_bits) - 1))
+        m = make_machine(max_words=32)
+        aa, ab, an, ap = operand_block(m, a, b, n, words)
+        engine = m.engine
+        engine._begin(m, MmulOperands(aa, ab, an, ap, words))
+        s = done = 0
+        for k in runs + [None]:  # None: the rest of the bits
+            k = n_bits - done if k is None else min(k, n_bits - done)
+            if not k:
+                break
+            engine.advance(k)
+            s = _bit_serial(s, a, b, n, done, k)
+            done += k
+            assert (engine.s_accum, engine.bit_index, engine.status_word()) \
+                == (s, done, 1 | (done & 0xFF) << 8)
+        engine._finish(m)
+        assert engine.status_word() == 0
+        assert read_value(m, ap, words) == mont_oracle(a, b, n, n_bits)
