@@ -5,8 +5,10 @@ for the final (unconditional, constant-time) subtraction.  The host does not
 step it bit by bit: it computes up to 32 bits of the recurrence per step in
 closed form, with state bit-identical to the bit-serial unit after every
 call.  Operands are multiword little-endian arrays in simulated memory; the
-engine latches their addresses, pulls them through the machine's load/store
-unit, and writes the result back.
+engine latches their addresses, pulls each one through the machine's
+load/store unit as one transfer (`load_words`), and writes the result back
+the same way (`store_words`).  A transfer of W words counts and costs what
+W one-word accesses do, faults included.
 
 Two execution shapes:
   * atomic - one call runs the whole multiplication;
@@ -80,11 +82,6 @@ _MIDDLE = PartialCallResult("middle", BIT_CYCLES)
 _CHUNK = 32  # bits of the recurrence per closed-form host step
 
 
-def address_generate(base, word_offset):
-    """ALU address path: base + 4 * word_offset, wrapping 32-bit."""
-    return (base + 4 * word_offset) & 0xFFFFFFFF
-
-
 class MmulEngine:
     """Sub-state of one machine; single-threaded stepping only.
 
@@ -119,9 +116,10 @@ class MmulEngine:
     # -- datapath ----------------------------------------------------------
 
     def _begin(self, machine, ops):
-        """Checks the operation and pulls its 3*words operand words through
-        the LSU; latches it only when every check and load succeeded, so a
-        fault leaves the engine idle.  Returns the load cycles."""
+        """Checks the operation and pulls its three operands through the
+        LSU, one transfer each; latches it only when every check and load
+        succeeded, so a fault leaves the engine idle.  Returns the load
+        cycles."""
         if ops.words > self.max_words:
             raise LengthExceedsHardwareMax(
                 f"words={ops.words} exceeds hardware limit {self.max_words}")
@@ -130,24 +128,19 @@ class MmulEngine:
         for addr in (ops.addr_a, ops.addr_b, ops.addr_n, ops.addr_p):
             if addr & 3:
                 raise MisalignedAccess(f"operand address 0x{addr:08x}")
-        cycles = 0
-        bufs = []
-        for base in (ops.addr_a, ops.addr_b, ops.addr_n):
-            value = 0
-            for j in range(ops.words):
-                word, lat = machine.load_word(address_generate(base, j))
-                value |= word << (32 * j)
-                cycles += lat
-            bufs.append(value)
-        if bufs[2] % 2 == 0:
+        words = ops.words
+        a, cycles = machine.load_words(ops.addr_a, words)
+        b, lat_b = machine.load_words(ops.addr_b, words)
+        n, lat_n = machine.load_words(ops.addr_n, words)
+        if n % 2 == 0:
             raise EvenModulus("modulus loaded from memory is even")
-        self.buf_a, self.buf_b, self.buf_n = bufs
-        self.n_inv = -pow(bufs[2] & 0xFFFFFFFF, -1, 1 << 32) & 0xFFFFFFFF
+        self.buf_a, self.buf_b, self.buf_n = a, b, n
+        self.n_inv = -pow(n & 0xFFFFFFFF, -1, 1 << 32) & 0xFFFFFFFF
         self.n_bits = ops.n_bits
         self.s_accum = 0
         self.bit_index = 0
         self.latched = ops
-        return cycles
+        return cycles + lat_b + lat_n
 
     def advance(self, k):
         """k bits of the latched operation: for each bit a_i of A from
@@ -185,17 +178,14 @@ class MmulEngine:
         return self.n_bits - 1 - self.bit_index
 
     def _finish(self, machine):
-        """Final subtraction and the words result stores; the engine is idle
-        again even if a store faults.  Returns 1 + the store cycles."""
+        """Final subtraction and the result's one store transfer; the
+        engine is idle again even if the store faults.  Returns 1 + the
+        store cycles."""
         ops, s = self.latched, self.s_accum
         if s >= self.buf_n:
             s -= self.buf_n
         self.reset()
-        cycles = 1
-        for j in range(ops.words):
-            cycles += machine.store_word(address_generate(ops.addr_p, j),
-                                         (s >> (32 * j)) & 0xFFFFFFFF)
-        return cycles
+        return 1 + machine.store_words(ops.addr_p, ops.words, s)
 
     # -- execution modes ---------------------------------------------------
 

@@ -76,10 +76,12 @@ class Memory:
 
     `words` is an aligned word view of the same bytes: `words[a >> 2]` is
     the little-endian word at the aligned address a, and assigning it
-    writes those 4 bytes.  Translated `lw`/`sw` and the LSU's word path
-    index it, so the size must be a multiple of 4, and a host whose
-    native unsigned int is not 4 little-endian bytes is refused, since
-    the view would read other values than the bytes hold.
+    writes those 4 bytes.  Translated `lw`/`sw` index it, so the size
+    must be a multiple of 4, and a host whose native unsigned int is not
+    4 little-endian bytes is refused, since the view would read other
+    values than the bytes hold.  The LSU's word transfers (`load_words`,
+    `store_words`) move one slice of the bytes instead, a whole `MMUL`
+    operand at a time.
 
     `blocks` is the core's one per-pc cache: the block that starts at a pc
     (a translated run, a run of MMUL units or one executor instruction)
@@ -200,29 +202,52 @@ class Machine:
 
     # -- LSU contract (the MMUL engine's, and a faulting core access's) ---
 
-    def load_word(self, addr):
-        """Returns (value, latency_cycles); counts one memory read."""
+    def load_words(self, addr, count):
+        """Returns (the count words from addr as one little-endian value,
+        count read latencies in cycles) and counts count memory reads.  A
+        transfer that runs off the top of memory counts the words below
+        the top, then raises UnmappedAddress at the first word that does
+        not fit."""
         if addr & 3:
             raise MisalignedAccess(f"load_word at 0x{addr:08x}")
-        mem = self.mem
-        if addr < 0 or addr + 4 > len(mem.data):
-            raise UnmappedAddress(f"0x{addr:08x}")
-        self.stats.mem_reads += 1
-        return mem.words[addr >> 2], mem.read_latency
+        mem, end = self.mem, addr + 4 * count
+        if addr < 0 or end > len(mem.data):  # count the words that fit
+            fit = max(len(mem.data) - addr, 0) >> 2 if addr >= 0 else 0
+            self.stats.mem_reads += fit
+            raise UnmappedAddress(f"0x{addr + 4 * fit:08x}")
+        self.stats.mem_reads += count
+        return (int.from_bytes(mem.data[addr:end], "little"),
+                count * mem.read_latency)
+
+    def store_words(self, addr, count, value):
+        """Stores the low 32*count bits of value from addr on; returns
+        count write latencies in cycles and counts count memory writes.  A
+        transfer that runs off the top of memory stores the words below
+        the top, then raises UnmappedAddress at the first word that does
+        not fit."""
+        if addr & 3:
+            raise MisalignedAccess(f"store_word at 0x{addr:08x}")
+        mem, end = self.mem, addr + 4 * count
+        if addr < 0 or end > len(mem.data):  # store the words that fit
+            fit = max(len(mem.data) - addr, 0) >> 2 if addr >= 0 else 0
+            if fit:
+                self.store_words(addr, fit, value)
+            raise UnmappedAddress(f"0x{addr + 4 * fit:08x}")
+        mem.data[addr:end] = (value & ((1 << 32 * count) - 1)).to_bytes(
+            4 * count, "little")
+        if addr < mem.code_top:
+            mem.invalidate(addr, end)
+        self.stats.mem_writes += count
+        return count * mem.write_latency
+
+    def load_word(self, addr):
+        """Returns (value, latency_cycles); counts one memory read."""
+        return self.load_words(addr, 1)
 
     def store_word(self, addr, value):
         """Stores the low 32 bits of value; returns latency_cycles and
         counts one memory write."""
-        if addr & 3:
-            raise MisalignedAccess(f"store_word at 0x{addr:08x}")
-        mem = self.mem
-        if addr < 0 or addr + 4 > len(mem.data):
-            raise UnmappedAddress(f"0x{addr:08x}")
-        mem.words[addr >> 2] = value & M32
-        if addr < mem.code_top:
-            mem.invalidate(addr, addr + 4)
-        self.stats.mem_writes += 1
-        return mem.write_latency
+        return self.store_words(addr, 1, value)
 
     def load_scalar(self, addr, nbytes):
         """Byte/halfword load path for lb/lh/lbu/lhu."""

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_machine, mont_oracle, operand_block, read_value
-from mmulrv.engine import (MmulOperands, address_generate, r2mm_reference)
+from mmulrv.engine import MmulOperands, r2mm_reference
 from mmulrv.errors import (EvenModulus, LengthExceedsHardwareMax,
                            MisalignedAccess, OperandTooLarge, SequenceBroken,
                            UnmappedAddress)
@@ -41,12 +41,6 @@ class TestReference:
         a = data.draw(st.integers(0, n - 1))
         b = data.draw(st.integers(0, n - 1))
         assert r2mm_reference(a, b, n, n_bits) == mont_oracle(a, b, n, n_bits)
-
-
-def test_address_generate():
-    assert address_generate(0x10000, 0) == 0x10000
-    assert address_generate(0x10000, 3) == 0x1000C
-    assert address_generate(0xFFFFFFFC, 1) == 0x0
 
 
 def _atomic(machine, a, b, n, words):

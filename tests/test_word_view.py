@@ -1,10 +1,10 @@
 """`Memory.words`, the aligned word view, against the bytes it views.
 
-Translated `lw`/`sw` and the LSU's `load_word`/`store_word` index the view,
-while images, sub-word accesses, `fetch_unit` and `Memory.read` use the
-bytes.  Each program here mixes the two paths and must end, on `isa.Cpu`,
-in the state `reference_core.ReferenceCpu` reaches on a twin machine, at
-three memory latency pairs.  `Memory` refuses what the view cannot hold.
+Translated `lw`/`sw` index the view, while images, sub-word accesses, the
+LSU's word transfers, `fetch_unit` and `Memory.read` use the bytes.  Each
+program here mixes the two paths and must end, on `isa.Cpu`, in the state
+`reference_core.ReferenceCpu` reaches on a twin machine, at three memory
+latency pairs.  `Memory` refuses what the view cannot hold.
 """
 
 import sys
