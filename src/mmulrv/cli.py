@@ -9,7 +9,7 @@ import random
 import sys
 
 from . import encoding
-from .engine import MmulOperands, r2mm_reference
+from .engine import DEFAULT_MAX_WORDS, MmulOperands, r2mm_reference
 from .errors import InvalidConfig, SimError
 from .guests import GUEST_NAMES, build_guest
 from .machine import DATA_BASE, Machine
@@ -209,7 +209,7 @@ def cmd_compare(args):
 
 def cmd_selftest(args):
     seed = os.environ.get("MMULRV_SEED")
-    rng = random.Random(int(seed, 0) if seed else 12345)
+    rng = random.Random(_int(seed, "MMULRV_SEED") if seed else 12345)
     failures = 0
     for words in range(1, args.words + 1):
         n_bits = 32 * words
@@ -260,7 +260,7 @@ def cmd_encode(args):
 
 
 def _add_words_arg(sp):
-    sp.add_argument("--words", type=int, default=8,
+    sp.add_argument("--words", type=int, default=DEFAULT_MAX_WORDS,
                     help="hardware max operand length in 32-bit words")
 
 
@@ -323,6 +323,8 @@ def main(argv=None):
         for option in ("words", "vectors"):  # below 1, nothing would run
             if getattr(args, option, 1) < 1:
                 raise SimError(f"--{option} must be at least 1")
+        if getattr(args, "words", 1) > encoding.MAX_WORDS:
+            raise SimError(f"--words must be at most {encoding.MAX_WORDS}")
         if (getattr(args, "budget", None) or 0) < 0:
             raise SimError("--budget must be at least 0")
         if min(getattr(args, "read_latency", 1),

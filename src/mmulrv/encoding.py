@@ -17,6 +17,7 @@ OPCODE_LOAD, OPCODE_MISC_MEM, OPCODE_OP_IMM = 0x03, 0x0F, 0x13
 OPCODE_AUIPC, OPCODE_STORE, OPCODE_OP, OPCODE_LUI = 0x17, 0x23, 0x33, 0x37
 OPCODE_BRANCH, OPCODE_JALR, OPCODE_JAL, OPCODE_SYSTEM = 0x63, 0x67, 0x6F, 0x73
 OPCODE_CUSTOM0 = 0x0B  # 0b0001011, reserved custom-0 space
+MAX_WORDS = 32  # the most operand words MMUL's 5-bit length code carries
 
 
 def encode_r(op, f3, f7, rd, rs1, rs2):
@@ -68,8 +69,8 @@ def encode_r4(rd, rs1, rs2, rs3, words):
     """
     if (rd | rs1 | rs2 | rs3) & ~15:  # one test; the message only on failure
         check_registers(rd, rs1, rs2, rs3, fields=_R4_FIELDS)
-    if not 1 <= words <= 32:
-        raise WordsOutOfRange(f"words={words} outside 1..32")
+    if not 1 <= words <= MAX_WORDS:
+        raise WordsOutOfRange(f"words={words} outside 1..{MAX_WORDS}")
     ln = words - 1  # R-type with funct7 = rs3:fnc2
     return encode_r(OPCODE_CUSTOM0, ln & 0x7, (rs3 << 2) | (ln >> 3),
                     rd, rs1, rs2)

@@ -2,22 +2,22 @@
 
 The modelled unit is bit-serial: 2 cycles per processed bit plus one cycle
 for the final (unconditional, constant-time) subtraction.  The host does not
-step it bit by bit: it computes up to 32 bits of the recurrence per step in
-closed form, with state bit-identical to the bit-serial unit after every
-call.  Operands are multiword little-endian arrays in simulated memory; the
-engine latches their addresses, pulls each one through the machine's
-load/store unit as one transfer (`load_words`), and writes the result back
-the same way (`store_words`).  A transfer of W words counts and costs what
-W one-word accesses do, faults included.
+step it bit by bit.  While a multiplication is in flight, the model shows
+nothing of it but `MMUL_STATUS`: the busy bit and the bit index.  So the
+engine holds only the latched operation, its three operand buffers and the
+bit index; an issue adds to the bit index, and `_finish` computes the
+product once, by Montgomery's REDC (Math. Comp. 1985), which gives the
+n-bit recurrence's sum in one step.  Operands are multiword little-endian
+arrays in simulated memory; the engine latches their addresses, pulls each
+one through the machine's load/store unit as one transfer (`load_words`),
+and writes the result back the same way (`store_words`).  A transfer of W
+words counts and costs what W one-word accesses do, faults included.
 
 Two execution shapes:
   * atomic - one call runs the whole multiplication;
   * partial - one call per bit; the first call loads operands, the last call
     performs the final subtraction and stores the result.  State persists in
     the engine between calls so interrupts can be serviced in between.
-
-Both advance the latched operation through `advance`, the one home of the
-recurrence, which the core also calls to retire k middle issues at once.
 """
 
 from dataclasses import dataclass
@@ -78,31 +78,30 @@ class PartialCallResult:
 
 
 BIT_CYCLES = 2  # one bit of the recurrence, a middle partial call's cost
+DEFAULT_MAX_WORDS = 8  # the engine's operand limit unless a machine sets one
 _MIDDLE = PartialCallResult("middle", BIT_CYCLES)
-_CHUNK = 32  # bits of the recurrence per closed-form host step
 
 
 class MmulEngine:
     """Sub-state of one machine; single-threaded stepping only.
 
-    One datapath serves both modes: `_begin` latches an operation,
-    `advance` runs k bits of it and `_finish` retires it.  An atomic call
-    runs all three; partial calls spread them over n_bits issues.
+    One datapath serves both modes: `_begin` latches an operation and
+    `_finish` computes and stores its product.  An atomic call runs both;
+    partial calls spread them over n_bits issues, each adding one to
+    `bit_index`.
     """
 
-    def __init__(self, max_words=8):
+    def __init__(self, max_words=DEFAULT_MAX_WORDS):
         self.max_words = max_words
         self.reset()
 
     def reset(self):
         self.latched = None
         self.n_bits = 0  # the latched operation's bit count
-        self.s_accum = 0
         self.bit_index = 0
         self.buf_a = 0
         self.buf_b = 0
         self.buf_n = 0
-        self.n_inv = 0  # -N^-1 mod 2^32
 
     @property
     def busy(self):
@@ -135,55 +134,36 @@ class MmulEngine:
         if n % 2 == 0:
             raise EvenModulus("modulus loaded from memory is even")
         self.buf_a, self.buf_b, self.buf_n = a, b, n
-        self.n_inv = -pow(n & 0xFFFFFFFF, -1, 1 << 32) & 0xFFFFFFFF
         self.n_bits = ops.n_bits
-        self.s_accum = 0
         self.bit_index = 0
         self.latched = ops
         return cycles + lat_b + lat_n
-
-    def advance(self, k):
-        """k bits of the latched operation: for each bit a_i of A from
-        `bit_index` on, S += a_i * B; if S is odd, S += N; S >>= 1.
-
-        The host takes the bits in chunks of c <= 32: S += A_c * B, A_c the
-        chunk's c bits of A; S += q * N, q = -S * N^-1 mod 2^c the one
-        q < 2^c that makes S divisible by 2^c; S >>= c.  The c bit steps
-        choose exactly q's bits, so S is the same (word-level Montgomery
-        reduction: Koc, Acar and Kaliski, IEEE Micro 1996).  A single bit,
-        the per-issue path, takes the bit step itself: it costs less than
-        a chunk."""
-        i = self.bit_index
-        self.bit_index = i + k
-        s, a = self.s_accum, self.buf_a >> i
-        if k == 1:
-            if a & 1:
-                s += self.buf_b
-            if s & 1:
-                s += self.buf_n
-            self.s_accum = s >> 1
-            return
-        b, n, n_inv = self.buf_b, self.buf_n, self.n_inv
-        while k:
-            c = _CHUNK if k > _CHUNK else k
-            mask = (1 << c) - 1
-            s += (a & mask) * b
-            s = (s + ((s & mask) * n_inv & mask) * n) >> c
-            a >>= c
-            k -= c
-        self.s_accum = s
 
     def middle_left(self):
         """The middle calls left in the latched sequence."""
         return self.n_bits - 1 - self.bit_index
 
     def _finish(self, machine):
-        """Final subtraction and the result's one store transfer; the
-        engine is idle again even if the store faults.  Returns 1 + the
-        store cycles."""
-        ops, s = self.latched, self.s_accum
-        if s >= self.buf_n:
-            s -= self.buf_n
+        """The product, the final subtraction and the result's one store
+        transfer; the engine is idle again even if the store faults.
+        Returns 1 + the store cycles.
+
+        The n bit steps S += a_i * B; if S is odd, S += N; S >>= 1 choose
+        exactly the bits of Q = -A * B * N^-1 mod 2^n, so the sum they
+        leave is S = (A * B + Q * N) / 2^n for any A, B < 2^n (REDC).
+        N^-1 mod 2^n is N^-1 mod 2^32 lifted by Newton's step
+        x <- x * (2 - N * x), which doubles its bits; `_begin` made sure
+        N is odd."""
+        ops, n, n_bits = self.latched, self.buf_n, self.n_bits
+        mask = (1 << n_bits) - 1
+        x, bits = pow(n & 0xFFFFFFFF, -1, 1 << 32), 32
+        while bits < n_bits:
+            x = x * (2 - n * x) & mask
+            bits *= 2
+        t = self.buf_a * self.buf_b
+        s = (t + (-(t & mask) * x & mask) * n) >> n_bits
+        if s >= n:
+            s -= n
         self.reset()
         return 1 + machine.store_words(ops.addr_p, ops.words, s)
 
@@ -201,7 +181,6 @@ class MmulEngine:
                 "atomic MMUL issued while a partial sequence is in flight")
         cycles = self._begin(machine, ops)
         n_bits = ops.n_bits
-        self.advance(n_bits)
         cycles += BIT_CYCLES * n_bits + self._finish(machine)
         return AtomicResult(cycles=cycles,
                             compute_cycles=BIT_CYCLES * n_bits + 1,
@@ -218,9 +197,9 @@ class MmulEngine:
         """
         if self.latched is None:
             cycles = self._begin(machine, ops) + BIT_CYCLES
-            self.advance(1)
+            self.bit_index = 1
             return PartialCallResult("first", cycles)
-        self.advance(1)
+        self.bit_index += 1
         if self.bit_index < self.n_bits:
             return _MIDDLE
         return PartialCallResult("last", BIT_CYCLES + self._finish(machine))

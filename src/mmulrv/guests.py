@@ -17,6 +17,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .asm import Asm
+from .engine import DEFAULT_MAX_WORDS
 from .errors import GuestNotFound, InvalidConfig, UnknownInput
 from .isa import Cpu
 from .machine import (CODE_BASE, DATA_BASE, MCYCLE, MIE, MIP, MMUL_MODE,
@@ -91,7 +92,7 @@ class GuestProgram:
         machine.pc = self.entry
 
     def run(self, read_latency=1, write_latency=1, irq=(), budget=None,
-            max_words=8):
+            max_words=DEFAULT_MAX_WORDS):
         """(machine, stats) of the guest loaded into a fresh machine and
         run under its own config to `budget` (`budget_hint` when None),
         the interrupt asserted at each cycle of `irq`."""

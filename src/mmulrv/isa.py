@@ -10,10 +10,13 @@ of them, up to its first control transfer, into one generated Python
 function (QEMU's translation blocks).  MMUL, CSR, `mret`, `ecall`,
 `ebreak` and `fence` have hand-written executors instead, each run as a
 one-instruction block, except that a straight run of MMUL units is one
-block: a middle issue of a partial sequence costs a fixed number of cycles,
-so the run retires in one call, with one engine `advance` over k bits, the
-middle issues that start before the wake.  A first, last or atomic issue,
-and one from a trap handler, retires alone through its executor.
+block: a middle issue of a partial sequence costs a fixed number of cycles
+and only adds one to the engine's bit index, so the run retires in one
+call, with one addition of k to it, the middle issues that start before
+the wake.  The engine computes the product once, at the last issue: the
+model shows nothing of a sequence in flight but `MMUL_STATUS`, the busy
+bit and the bit index.  A first, last or atomic issue, and one from a
+trap handler, retires alone through its executor.
 `Memory.blocks` keeps one block per pc for both `Cpu.run` and `Cpu.step`; a
 block splits itself at the wake, a translated one retiring only its first
 instruction when the wake falls before its last one starts, so `step` runs
@@ -504,10 +507,10 @@ def _mmul_run(d, pc, count, cost, m, limit):
     """The block of `count` consecutive MMUL units at `pc`, `d` the first.
     A first or atomic issue, the last issue of a sequence and an issue from
     a trap handler retire alone through `_executed`.  Any other issue is a
-    middle one of `cost` cycles, so one call retires k of them with k bit
-    steps: all the middle issues left in the run and in the latched
-    sequence or, when the wake falls among them, those that start before
-    it."""
+    middle one of `cost` cycles, so one call retires k of them by adding
+    k to the engine's bit index: all the middle issues left in the run and
+    in the latched sequence or, when the wake falls among them, those that
+    start before it."""
     engine = m.engine
     if engine.latched is None or m.in_handler:
         return _executed(d, pc, m, limit)
@@ -516,7 +519,7 @@ def _mmul_run(d, pc, count, cost, m, limit):
         k = -(-limit // cost)
     if not k:  # the last issue
         return _executed(d, pc, m, limit)
-    engine.advance(k)
+    engine.bit_index += k
     m.pc = pc + 4 * k
     cycles = k * cost
     m.cycle += cycles

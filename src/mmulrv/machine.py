@@ -2,7 +2,7 @@
 
 import sys
 
-from .engine import MmulEngine
+from .engine import DEFAULT_MAX_WORDS, MmulEngine
 from .errors import MisalignedAccess, UnimplementedCsr, UnmappedAddress
 from .perf import RunStats
 
@@ -185,7 +185,7 @@ class Memory:
 class Machine:
     """One simulated core's worth of architectural state."""
 
-    def __init__(self, memory=None, max_words=8):
+    def __init__(self, memory=None, max_words=DEFAULT_MAX_WORDS):
         self.mem = memory if memory is not None else Memory()
         self.regs = RegisterFile()
         self.pc = CODE_BASE

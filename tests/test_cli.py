@@ -208,6 +208,9 @@ RUN_ONCE = ["run", "--guest", "montmul_once"]
      "--words must be at least 1"),
     (["selftest", "--words", "0", "--vectors", "2"],
      "--words must be at least 1"),
+    (RUN_ONCE + ["--words", "33"], "--words must be at most 32"),
+    (["selftest", "--words", "33", "--vectors", "1"],
+     "--words must be at most 32"),
     (["selftest", "--vectors", "0"], "--vectors must be at least 1"),
     (["run", "--guest", "irq_sweep_partial", "--config", "CI-PE",
       "--irq", "-50"], "--irq cycles must be at least 0"),
@@ -229,7 +232,8 @@ RUN_ONCE = ["run", "--guest", "montmul_once"]
      "words must be at least 1"),
 ], ids=["read-latency", "write-latency", "read-latency-zero",
         "write-latency-zero", "set-name", "run-words",
-        "selftest-words", "selftest-vectors", "irq-negative",
+        "selftest-words", "run-words-above-encoding",
+        "selftest-words-above-encoding", "selftest-vectors", "irq-negative",
         "sweep-negative-start", "irq-with-sweep", "scalar-bits-zero",
         "run-budget-negative",
         "compare-budget-negative", "set-modulus-negative",
@@ -380,6 +384,13 @@ def test_selftest_fails_a_broken_partial_path(capsys, monkeypatch, breaks):
 def test_selftest_seed_env(capsys, monkeypatch):
     monkeypatch.setenv("MMULRV_SEED", "0x1234")
     assert main(["selftest", "--vectors", "2"]) == EXIT_OK
+
+
+def test_selftest_malformed_seed_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("MMULRV_SEED", "abc")
+    assert main(["selftest", "--vectors", "2"]) == EXIT_ERROR
+    assert capsys.readouterr().err == \
+        "error: MMULRV_SEED expects an integer, got 'abc'\n"
 
 
 def test_encode_output(capsys):

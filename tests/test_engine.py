@@ -260,45 +260,31 @@ class TestPartial:
         assert read_value(m, ap, words) == mont_oracle(a, b, n, 32)
 
 
-def _bit_serial(s, a, b, n, start, k):
-    """k steps of the radix-2 recurrence from bit `start` of A, one bit at
-    a time: S += a_i * B; if S is odd, S += N; S >>= 1."""
-    for i in range(start, start + k):
-        if (a >> i) & 1:
-            s += b
-        if s & 1:
-            s += n
-        s >>= 1
-    return s
+class TestProductAtTheStore:
+    """A middle issue only adds to `bit_index`; `_finish` computes the
+    product once, by REDC.  Stored, it must equal the bit-serial spec for
+    any A, B < 2^n, A, B >= N included, atomic and as n_bits partial
+    calls."""
 
-
-class TestChunkedAdvance:
-    """`advance(k)` computes up to 32 bits per step in closed form; its
-    state must equal the bit-serial recurrence after every call."""
-
-    @given(data=st.data(), words=st.sampled_from([1, 2, 3, 8, 32]),
-           runs=st.lists(st.sampled_from([1, 2, 31, 32, 33, 64, None]),
-                         max_size=24))
+    @given(data=st.data(), words=st.sampled_from([1, 2, 3, 8, 32]))
     @settings(max_examples=150, deadline=None)
-    def test_matches_bit_serial_after_every_call(self, data, words, runs):
+    def test_matches_bit_serial_spec(self, data, words):
         n_bits = 32 * words
         n = data.draw(st.integers(0, (1 << n_bits) - 1)) | 1
-        b = data.draw(st.integers(0, n - 1))
         a = data.draw(st.integers(0, (1 << n_bits) - 1))
-        m = make_machine(max_words=32)
-        aa, ab, an, ap = operand_block(m, a, b, n, words)
-        engine = m.engine
-        engine._begin(m, MmulOperands(aa, ab, an, ap, words))
-        s = done = 0
-        for k in runs + [None]:  # None: the rest of the bits
-            k = n_bits - done if k is None else min(k, n_bits - done)
-            if not k:
-                break
-            engine.advance(k)
-            s = _bit_serial(s, a, b, n, done, k)
-            done += k
-            assert (engine.s_accum, engine.bit_index, engine.status_word()) \
-                == (s, done, 1 | (done & 0xFF) << 8)
-        engine._finish(m)
-        assert engine.status_word() == 0
-        assert read_value(m, ap, words) == mont_oracle(a, b, n, n_bits)
+        b = data.draw(st.integers(0, (1 << n_bits) - 1))
+        expect = r2mm_reference(a, b, n, n_bits)
+        for partial in (False, True):
+            m = make_machine(max_words=32)
+            aa, ab, an, ap = operand_block(m, a, b, n, words)
+            ops = MmulOperands(aa, ab, an, ap, words)
+            engine = m.engine
+            if partial:
+                for i in range(1, n_bits):
+                    engine.execute_partial_call(m, ops)
+                    assert engine.status_word() == 1 | (i & 0xFF) << 8
+                engine.execute_partial_call(m, ops)
+            else:
+                engine.execute_atomic(m, ops)
+            assert engine.status_word() == 0
+            assert read_value(m, ap, words) == expect

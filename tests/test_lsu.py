@@ -2,9 +2,10 @@
 
 `MmulEngine._begin` pulls each operand through `Machine.load_words` and
 `_finish` writes the result through `Machine.store_words`, one transfer
-each.  `PerWordEngine` below is the oracle: the same datapath with the
-operand traffic done one word at a time, through a copy of the one-word
-LSU that indexes the word view.  Twin machines, one with each engine, run
+each.  `PerWordEngine` below is the oracle: the engine's checks and state,
+its product from the bit-serial spec `r2mm_reference`, and the operand
+traffic done one word at a time, through a copy of the one-word LSU that
+indexes the word view.  Twin machines, one with each engine, run
 the same operation and must end alike: result, cycles, trap type and
 message, engine state, `machine_state` (memory, counters) and the cached
 blocks and shared image of their memories.
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import machine_state
 from mmulrv.asm import Asm
-from mmulrv.engine import MmulEngine, MmulOperands
+from mmulrv.engine import MmulEngine, MmulOperands, r2mm_reference
 from mmulrv.errors import (EvenModulus, LengthExceedsHardwareMax,
                            MisalignedAccess, SimError, UnmappedAddress)
 from mmulrv.isa import Cpu
@@ -77,17 +78,14 @@ class PerWordEngine(MmulEngine):
         if bufs[2] % 2 == 0:
             raise EvenModulus("modulus loaded from memory is even")
         self.buf_a, self.buf_b, self.buf_n = bufs
-        self.n_inv = -pow(bufs[2] & 0xFFFFFFFF, -1, 1 << 32) & 0xFFFFFFFF
         self.n_bits = ops.n_bits
-        self.s_accum = 0
         self.bit_index = 0
         self.latched = ops
         return cycles
 
     def _finish(self, machine):
-        ops, s = self.latched, self.s_accum
-        if s >= self.buf_n:
-            s -= self.buf_n
+        ops = self.latched
+        s = r2mm_reference(self.buf_a, self.buf_b, self.buf_n, self.n_bits)
         self.reset()
         cycles = 1
         for j in range(ops.words):

@@ -6,8 +6,8 @@ start before the wake.  `reference_core.ReferenceCpu` steps every issue
 through `execute_partial_call` on a twin machine, and both must end in
 identical state: runs shorter than, equal to and longer than the latched
 sequence, a run broken by another unit or by a mode write, atomic issues,
-and an interrupt, a budget or a handler's `MMUL` at every cycle, at three
-memory latency pairs.
+an interrupt, a budget or a handler's `MMUL` at every cycle, and a resume
+after a budget stop at every cycle, at three memory latency pairs.
 
 The fast core must also call the engine only for the issues that are not
 middle ones (a first, a last or an atomic issue), so that every middle
@@ -16,11 +16,13 @@ issue outside a handler retired through the run's bulk path.
 
 import pytest
 
-from conftest import LATENCIES, make_machine, mont_oracle, twins
+from conftest import LATENCIES, machine_state, make_machine, mont_oracle, \
+    twins
 from mmulrv import isa
 from mmulrv.asm import Asm
 from mmulrv.machine import DATA_BASE, MEI_BIT, MIE, MIP, MMUL_MODE, MSTATUS, \
     MTVEC
+from reference_core import ReferenceCpu
 
 MODULUS = {1: 0xFFFFFFFB, 2: (1 << 64) - 59}  # by operand words
 A, B = 0x12345678, 0x9ABCDEF1
@@ -144,6 +146,30 @@ def test_interrupt_and_budget_at_every_cycle_of_a_run(handler_mmul, rl, wl):
         serviced += len(entries)
     assert stops == ({"halt", "trap"} if handler_mmul else {"halt"})
     assert serviced > 40  # at least one per issue of the run
+
+
+@pytest.mark.parametrize("rl,wl", LATENCIES)
+def test_a_run_stopped_mid_sequence_resumes_on_the_same_machine(rl, wl):
+    """Each core runs to a budget at every cycle of a 40-unit run, then
+    again to halt on the same machine: both stop alike and end as one
+    uninterrupted run, with the product stored.  The latched operands and
+    the bit index alone carry the sequence across runs."""
+    code, data, n = _program(1, [("mmul", 40)])
+    end = _twins(code, data, rl, wl, budget=100_000)[1].total_cycles
+    for at in range(end + 2):
+        ends = []
+        for core in (isa.Cpu, ReferenceCpu):
+            m = make_machine(read_latency=rl, write_latency=wl)
+            m.load_image(code, 0)
+            m.load_image(data, DATA_BASE)
+            cpu = core(m)
+            cpu.run(budget=at)
+            stopped = machine_state(m)
+            stats = cpu.run(budget=100_000)
+            assert (stats.stop_reason, stats.total_cycles) == ("halt", end)
+            assert m.mem.read(RESULT, 4) == mont_oracle(A, B, n, 32)
+            ends.append((stopped, machine_state(m)))
+        assert ends[0] == ends[1]
 
 
 def test_first_visit_of_a_run_makes_every_later_entry(unshared):
