@@ -7,7 +7,10 @@ through `execute_partial_call` on a twin machine, and both must end in
 identical state: runs shorter than, equal to and longer than the latched
 sequence, a run broken by another unit or by a mode write, atomic issues,
 an interrupt, a budget or a handler's `MMUL` at every cycle, and a resume
-after a budget stop at every cycle, at three memory latency pairs.
+after a budget stop at every cycle, at three memory latency pairs.  A
+hypothesis test draws programs of unrolled runs, counted loops of one
+`MMUL`, other units and mode writes, with or without the interrupt
+harness, under drawn interrupt schedules and budgets.
 
 The fast core must also call the engine only for the issues that are not
 middle ones (a first, a last or an atomic issue), so that every middle
@@ -15,6 +18,8 @@ issue outside a handler retired through the run's bulk path.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import LATENCIES, machine_state, make_machine, mont_oracle, \
     twins
@@ -31,8 +36,9 @@ RESULT = DATA_BASE + 0x100
 
 def _program(words, shape, harness=False, handler_mmul=False):
     """Operands at DATA_BASE, x10..x13 their pointers and the result's,
-    partial mode, then `shape`: ("mmul", n) is a run of n units, ("addi",)
-    one other unit between runs, ("mode", bit) a csrrwi of MMUL_MODE.  With
+    partial mode, then `shape`: ("mmul", n) is a run of n units, ("loop",
+    n) n passes of a loop of one unit counted down in x14, ("addi",) one
+    other unit between runs, ("mode", bit) a csrrwi of MMUL_MODE.  With
     `harness`, an enabled interrupt enters a handler that acknowledges the
     line (after one MMUL of its own with `handler_mmul`) and returns."""
     a = Asm(base=0)
@@ -54,10 +60,16 @@ def _program(words, shape, harness=False, handler_mmul=False):
         a.csrrw(0, MIE, 7)
         a.csrrwi(0, MSTATUS, 8)
     a.csrrwi(0, MMUL_MODE, 1)
-    for step in shape:
+    for i, step in enumerate(shape):
         if step[0] == "mmul":
             for _ in range(step[1]):
                 a.mmul(13, 10, 11, 12, words)
+        elif step[0] == "loop":
+            a.li(14, step[1])
+            a.label(f"loop{i}")
+            a.mmul(13, 10, 11, 12, words)
+            a.addi(14, 14, -1)
+            a.bne(14, 0, f"loop{i}")
         elif step[0] == "addi":
             a.addi(6, 6, 1)
         else:
@@ -170,6 +182,32 @@ def test_a_run_stopped_mid_sequence_resumes_on_the_same_machine(rl, wl):
             assert m.mem.read(RESULT, 4) == mont_oracle(A, B, n, 32)
             ends.append((stopped, machine_state(m)))
         assert ends[0] == ends[1]
+
+
+SEGMENTS = st.one_of(
+    st.tuples(st.sampled_from(("mmul", "loop")), st.integers(1, 70)),
+    st.just(("addi",)),
+    st.tuples(st.just("mode"), st.integers(0, 1)))
+
+
+@given(words=st.integers(1, 2), shape=st.lists(SEGMENTS, min_size=1,
+                                               max_size=4),
+       harness=st.sampled_from(((False, False), (True, False), (True, True))),
+       latencies=st.sampled_from(LATENCIES), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_drawn_programs_match_reference(words, shape, harness, latencies,
+                                        data):
+    """Drawn runs, loops, other units and mode writes, with or without the
+    interrupt harness and a handler's MMUL, under 0-3 interrupts and an
+    optional budget within the program's length."""
+    code, data_bytes, _ = _program(words, shape, *harness)
+    end = _twins(code, data_bytes, *latencies,
+                 budget=100_000)[1].total_cycles
+    cycles = st.integers(0, end)
+    schedule = data.draw(st.lists(cycles, max_size=3), label="schedule")
+    budget = data.draw(st.one_of(st.just(100_000), cycles), label="budget")
+    _twins(code, data_bytes, *latencies, budget=budget,
+           irq_schedule=schedule)
 
 
 def test_first_visit_of_a_run_makes_every_later_entry(unshared):
