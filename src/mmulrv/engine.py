@@ -139,10 +139,6 @@ class MmulEngine:
         self.latched = ops
         return cycles + lat_b + lat_n
 
-    def middle_left(self):
-        """The middle calls left in the latched sequence."""
-        return self.n_bits - 1 - self.bit_index
-
     def _finish(self, machine):
         """The product, the final subtraction and the result's one store
         transfer; the engine is idle again even if the store faults.

@@ -409,11 +409,15 @@ def emit_modexp(name, config, inputs):
     exponent_bits = inputs["exponent_bits"]
     if exponent_bits < 1 or exponent_bits > 32:
         raise InvalidConfig("exponent_bits must be in 1..32 at desk scale")
+    top = (1 << exponent_bits) - 1  # the guest reads only these bits
+    if not 0 <= inputs["exponent"] <= top:
+        raise InvalidConfig(f"exponent must be in 0..{top} for "
+                            f"exponent_bits {exponent_bits}")
     W = ctx.words
     dl.alloc("r2", W, ctx.r2_mod_n)
     dl.alloc("one", W, 1)
     dl.alloc("base", W, inputs["base"] % ctx.modulus)
-    dl.alloc("exponent", 1, inputs["exponent"] & 0xFFFFFFFF)
+    dl.alloc("exponent", 1, inputs["exponent"])
     dl.alloc("acc", W)
     dl.alloc("base_mont", W)
     dl.alloc("result", W)
@@ -449,12 +453,14 @@ def emit_modexp(name, config, inputs):
 def emit_ladder_x25519_field(name, config, inputs):
     """Montgomery-ladder scalar multiplication over the 2^255 - 19 field.
 
-    Outputs the projective x-coordinate pair (out_x, out_z); the host-side
-    oracle runs the identical ladder on plain integers.  A `scalar_bits`
-    of None resolves to the scalar's bit length.
+    Outputs the projective x-coordinate pair (out_x, out_z); the tests'
+    host-side oracle runs the identical ladder on plain integers.  A
+    `scalar_bits` of None resolves to the scalar's bit length.
     """
     ctx, dl, a = frame = _frame(config, inputs)
     scalar, scalar_bits = inputs["scalar"], inputs["scalar_bits"]
+    if scalar < 0:
+        raise InvalidConfig("scalar must be at least 0")
     if scalar_bits is None:
         scalar_bits = max(scalar.bit_length(), 1)
         inputs = {**inputs, "scalar_bits": scalar_bits}
@@ -534,43 +540,11 @@ def emit_ladder_x25519_field(name, config, inputs):
                     emit_field_add, emit_field_sub, emit_cswap)
 
 
-def ladder_reference(u, scalar, scalar_bits, p=P25519):
-    """Host-side oracle: the same x-only ladder on plain integers.
-
-    Returns the projective pair (x2, z2) the guest stores to out_x/out_z.
-    """
-    x1 = u % p
-    x2, z2, x3, z3 = 1, 0, x1, 1
-    swap = 0
-    for t in reversed(range(scalar_bits)):
-        kt = (scalar >> t) & 1
-        swap ^= kt
-        if swap:
-            x2, x3 = x3, x2
-            z2, z3 = z3, z2
-        swap = kt
-        aa_ = (x2 + z2) % p
-        asq = aa_ * aa_ % p
-        bb_ = (x2 - z2) % p
-        bsq = bb_ * bb_ % p
-        e = (asq - bsq) % p
-        c = (x3 + z3) % p
-        d = (x3 - z3) % p
-        da = d * aa_ % p
-        cb = c * bb_ % p
-        x3 = (da + cb) * (da + cb) % p
-        z3 = x1 * ((da - cb) * (da - cb) % p) % p
-        x2 = asq * bsq % p
-        z2 = e * ((asq + A24 * e) % p) % p
-    if swap:
-        x2, x3 = x3, x2
-        z2, z3 = z3, z2
-    return x2, z2
-
-
 def emit_single_montmul(name, config, inputs):
     """One modular multiplication on fixed operands, with the interrupt
     harness when `irq` is on; the interrupt-latency sweep target."""
+    if inputs["irq"] not in (0, 1):
+        raise InvalidConfig("irq must be 0 or 1")
     ctx, dl, a = frame = _frame(config, inputs, inputs["irq"])
     dl.alloc("op_a", ctx.words, inputs["a"] % ctx.modulus)
     dl.alloc("op_b", ctx.words, inputs["b"] % ctx.modulus)

@@ -7,16 +7,16 @@ below, the executor table is built from them, and the assembler derives
 its emitters from them.  The ALU, `lui`/`auipc`, load, store, branch and
 jump kinds have one implementation: `_translate` compiles a straight run
 of them, up to its first control transfer, into one generated Python
-function (QEMU's translation blocks).  MMUL, CSR, `mret`, `ecall`,
-`ebreak` and `fence` have hand-written executors instead, each run as a
-one-instruction block, except that a straight run of MMUL units is one
-block: a middle issue of a partial sequence costs a fixed number of cycles
-and only adds one to the engine's bit index, so the run retires in one
-call, with one addition of k to it, the middle issues that start before
-the wake.  The engine computes the product once, at the last issue: the
-model shows nothing of a sequence in flight but `MMUL_STATUS`, the busy
-bit and the bit index.  A first, last or atomic issue, and one from a
-trap handler, retires alone through its executor.
+function (QEMU's translation blocks).  CSR, `mret`, `ecall`, `ebreak`
+and `fence` have hand-written executors instead, each run as a
+one-instruction block.  A straight run of MMUL units is one block, whose
+function retires every MMUL issue: a middle issue of a partial sequence
+costs a fixed number of cycles and only adds one to the engine's bit
+index, so the run retires in one call, with one addition of k to it, the
+middle issues that start before the wake.  The engine computes the product
+once, at the last issue: the model shows nothing of a sequence in flight
+but `MMUL_STATUS`, the busy bit and the bit index.  Any other issue
+retires alone, in one call to the engine.
 `Memory.blocks` keeps one block per pc for both `Cpu.run` and `Cpu.step`; a
 block splits itself at the wake, a translated one retiring only its first
 instruction when the wake falls before its last one starts, so `step` runs
@@ -347,23 +347,6 @@ def _fence(m, d, pc, _):  # a no-op in this model
     return 0
 
 
-def _mmul(m, d, pc, _):
-    regs = m.regs.x
-    ops = MmulOperands(addr_a=regs[d.rs1], addr_b=regs[d.rs2],
-                       addr_n=regs[d.rs3], addr_p=regs[d.rd],
-                       words=d.words)
-    in_sequence = m.engine.latched is not None
-    if in_sequence and m.in_handler:
-        raise SequenceBroken("MMUL issued from a trap handler mid-sequence")
-    if in_sequence or m.csr[MMUL_MODE] & 1:
-        res = m.engine.execute_partial_call(m, ops)
-    else:
-        res = m.engine.execute_atomic(m, ops)
-    m.stats.mmul_invocations += not in_sequence
-    m.stats.mmul_cycles += res.cycles
-    return res.cycles
-
-
 # kind -> (executor, its table value).  A kind that `_translate` compiles
 # names its case there instead, and an ALU or branch kind's value is its
 # table row's result, with an immediate form's operand b as {imm}.
@@ -372,7 +355,6 @@ _EXECUTE = {
     "jal": ("jump", False), "jalr": ("jump", True),
     "mret": (_mret, None), "ecall": (_ecall, None),
     "ebreak": (_ebreak, None), "fence": (_fence, None),
-    "mmul": (_mmul, None),
     **{reg: ("alu", result) for reg, _, result in _ALU.values()},
     **{imm: ("alu", result.replace("{b}", "{imm}"))
        for _, imm, result in _ALU.values() if imm},
@@ -382,8 +364,8 @@ _EXECUTE = {
     **{kind: (_csr, spec) for kind, spec in _CSR.values()},
 }
 
-# The translated kinds, exactly those that use the ALU.  MMUL, CSR, mret,
-# ecall, ebreak and fence keep their executors and are never compiled.
+# The translated kinds, exactly those that use the ALU.  CSR, mret, ecall,
+# ebreak and fence keep their executors, MMUL its run, and none is compiled.
 _TRANSLATED = {k for k, (case, _) in _EXECUTE.items() if isinstance(case, str)}
 
 
@@ -504,28 +486,40 @@ def _executed(d, pc, m, limit):
 
 
 def _mmul_run(d, pc, count, cost, m, limit):
-    """The block of `count` consecutive MMUL units at `pc`, `d` the first.
-    A first or atomic issue, the last issue of a sequence and an issue from
-    a trap handler retire alone through `_executed`.  Any other issue is a
-    middle one of `cost` cycles, so one call retires k of them by adding
-    k to the engine's bit index: all the middle issues left in the run and
-    in the latched sequence or, when the wake falls among them, those that
-    start before it."""
-    engine = m.engine
-    if engine.latched is None or m.in_handler:
-        return _executed(d, pc, m, limit)
-    k = min(count, engine.middle_left())
+    """The block of `count` consecutive MMUL units at `pc`, `d` the first:
+    the one place the core retires an MMUL issue.  A middle issue of a
+    partial sequence costs `cost` cycles, so one call retires k of them by
+    adding k to the engine's bit index: all the middle issues left in the
+    run and in the latched sequence or, when the wake falls among them,
+    those that start before it.  A first, last or atomic issue retires
+    alone, in one call to the engine, and a fault leaves m.pc at it; a
+    trap handler's issue into a sequence in flight is refused."""
+    engine, stats = m.engine, m.stats
+    in_sequence = engine.latched is not None
+    if in_sequence and m.in_handler:
+        raise SequenceBroken("MMUL issued from a trap handler mid-sequence")
+    k = min(count, engine.n_bits - 1 - engine.bit_index) if in_sequence else 0
     if limit < k * cost:  # the wake falls among them: those before it
         k = -(-limit // cost)
-    if not k:  # the last issue
-        return _executed(d, pc, m, limit)
-    engine.bit_index += k
-    m.pc = pc + 4 * k
-    cycles = k * cost
+    if k:
+        engine.bit_index += k
+        engine_cycles = k * BIT_CYCLES
+    else:  # a first, last or atomic issue retires alone
+        k = 1
+        regs = m.regs.x
+        ops = MmulOperands(addr_a=regs[d.rs1], addr_b=regs[d.rs2],
+                           addr_n=regs[d.rs3], addr_p=regs[d.rd],
+                           words=d.words)
+        if in_sequence or m.csr[MMUL_MODE] & 1:
+            engine_cycles = engine.execute_partial_call(m, ops).cycles
+        else:
+            engine_cycles = engine.execute_atomic(m, ops).cycles
+        stats.mmul_invocations += not in_sequence
+    m.pc = pc + 4 * k & M32
+    cycles = k * (cost - BIT_CYCLES) + engine_cycles
     m.cycle += cycles
-    stats = m.stats
     stats.retired += k
-    stats.mmul_cycles += k * BIT_CYCLES
+    stats.mmul_cycles += engine_cycles
     return cycles
 
 

@@ -80,7 +80,7 @@ class Memory:
     must be a multiple of 4, and a host whose native unsigned int is not
     4 little-endian bytes is refused, since the view would read other
     values than the bytes hold.  The LSU's word transfers (`load_words`,
-    `store_words`) move one slice of the bytes instead, a whole `MMUL`
+    `store_words`) go through `read` and `write` instead, a whole `MMUL`
     operand at a time.
 
     `blocks` is the core's one per-pc cache: the block that starts at a pc
@@ -202,6 +202,14 @@ class Machine:
 
     # -- LSU contract (the MMUL engine's, and a faulting core access's) ---
 
+    def _fit(self, addr, count):
+        """How many of the count words from addr lie in memory: all of
+        them, or those below its top."""
+        size = len(self.mem.data)
+        if addr < 0 or addr + 4 * count > size:
+            return max(size - addr, 0) >> 2 if addr >= 0 else 0
+        return count
+
     def load_words(self, addr, count):
         """Returns (the count words from addr as one little-endian value,
         count read latencies in cycles) and counts count memory reads.  A
@@ -210,14 +218,11 @@ class Machine:
         not fit."""
         if addr & 3:
             raise MisalignedAccess(f"load_word at 0x{addr:08x}")
-        mem, end = self.mem, addr + 4 * count
-        if addr < 0 or end > len(mem.data):  # count the words that fit
-            fit = max(len(mem.data) - addr, 0) >> 2 if addr >= 0 else 0
-            self.stats.mem_reads += fit
+        fit = self._fit(addr, count)
+        self.stats.mem_reads += fit
+        if fit < count:
             raise UnmappedAddress(f"0x{addr + 4 * fit:08x}")
-        self.stats.mem_reads += count
-        return (int.from_bytes(mem.data[addr:end], "little"),
-                count * mem.read_latency)
+        return self.mem.read(addr, 4 * count), count * self.mem.read_latency
 
     def store_words(self, addr, count, value):
         """Stores the low 32*count bits of value from addr on; returns
@@ -227,18 +232,13 @@ class Machine:
         not fit."""
         if addr & 3:
             raise MisalignedAccess(f"store_word at 0x{addr:08x}")
-        mem, end = self.mem, addr + 4 * count
-        if addr < 0 or end > len(mem.data):  # store the words that fit
-            fit = max(len(mem.data) - addr, 0) >> 2 if addr >= 0 else 0
-            if fit:
-                self.store_words(addr, fit, value)
+        fit = self._fit(addr, count)
+        if fit:
+            self.mem.write(addr, 4 * fit, value)
+        self.stats.mem_writes += fit
+        if fit < count:
             raise UnmappedAddress(f"0x{addr + 4 * fit:08x}")
-        mem.data[addr:end] = (value & ((1 << 32 * count) - 1)).to_bytes(
-            4 * count, "little")
-        if addr < mem.code_top:
-            mem.invalidate(addr, end)
-        self.stats.mem_writes += count
-        return count * mem.write_latency
+        return count * self.mem.write_latency
 
     def load_word(self, addr):
         """Returns (value, latency_cycles); counts one memory read."""

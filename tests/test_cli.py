@@ -221,6 +221,9 @@ RUN_ONCE = ["run", "--guest", "montmul_once"]
      "--irq and --sweep cannot be combined"),
     (["run", "--guest", "x25519_ladder", "--config", "CI-AE",
       "--set", "scalar_bits=0"], "scalar_bits must be in 1..32 at desk scale"),
+    (["run", "--guest", "modexp128", "--config", "CI-AE",
+      "--set", "exponent=0x1FFFF"],
+     "exponent must be in 0..65535 for exponent_bits 16"),
     (RUN_ONCE + ["--config", "CI-AE", "--set", "modulus=239", "--set",
                  "words=1", "--budget", "-5"], "--budget must be at least 0"),
     (["compare", "--guest", "montmul_once", "--budget", "-1"],
@@ -234,7 +237,7 @@ RUN_ONCE = ["run", "--guest", "montmul_once"]
         "write-latency-zero", "set-name", "run-words",
         "selftest-words", "run-words-above-encoding",
         "selftest-words-above-encoding", "selftest-vectors", "irq-negative",
-        "sweep-negative-start", "irq-with-sweep", "scalar-bits-zero",
+        "sweep-negative-start", "irq-with-sweep", "scalar-bits-zero", "set-exponent-too-wide",
         "run-budget-negative",
         "compare-budget-negative", "set-modulus-negative",
         "set-words-negative", "compare-set-words-zero"])

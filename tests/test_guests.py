@@ -6,10 +6,47 @@ import pytest
 from conftest import machine_state, make_machine, mont_oracle, run_guest
 from mmulrv import guests
 from mmulrv.encoding import OPCODE_CUSTOM0
-from mmulrv.guests import (CONFIGS, FieldContext, build_guest, emit_modexp,
-                           ladder_reference)
+from mmulrv.guests import CONFIGS, FieldContext, build_guest, emit_modexp
 from mmulrv.errors import GuestNotFound, InvalidConfig, UnknownInput
 from mmulrv import isa
+
+
+P25519 = (1 << 255) - 19  # RFC 7748's field
+A24 = 121665  # and its curve constant (486662 - 2) / 4
+
+
+def ladder_reference(u, scalar, scalar_bits, p=P25519):
+    """Host-side oracle: the x-only ladder on plain integers.
+
+    Returns the projective pair (x2, z2) the guest stores to out_x/out_z.
+    """
+    x1 = u % p
+    x2, z2, x3, z3 = 1, 0, x1, 1
+    swap = 0
+    for t in reversed(range(scalar_bits)):
+        kt = (scalar >> t) & 1
+        swap ^= kt
+        if swap:
+            x2, x3 = x3, x2
+            z2, z3 = z3, z2
+        swap = kt
+        aa_ = (x2 + z2) % p
+        asq = aa_ * aa_ % p
+        bb_ = (x2 - z2) % p
+        bsq = bb_ * bb_ % p
+        e = (asq - bsq) % p
+        c = (x3 + z3) % p
+        d = (x3 - z3) % p
+        da = d * aa_ % p
+        cb = c * bb_ % p
+        x3 = (da + cb) * (da + cb) % p
+        z3 = x1 * ((da - cb) * (da - cb) % p) % p
+        x2 = asq * bsq % p
+        z2 = e * ((asq + A24 * e) % p) % p
+    if swap:
+        x2, x3 = x3, x2
+        z2, z3 = z3, z2
+    return x2, z2
 
 
 def _mmul_count(words_list):
@@ -77,6 +114,11 @@ class TestSingleMultiplication:
         delta = runs["CI-PE"].total_cycles - runs["CI-AE"].total_cycles
         assert delta == 256
 
+    @pytest.mark.parametrize("irq", [2, -1])
+    def test_irq_other_than_0_or_1_refused(self, irq):
+        with pytest.raises(InvalidConfig, match="irq must be 0 or 1"):
+            build_guest("montmul_once", "CI-PE", {"irq": irq})
+
 
 class TestModexp:
     def test_known_answer_small(self):
@@ -121,6 +163,20 @@ class TestModexp:
                                          "exponent_bits": 40, "base": 2,
                                          "exponent": 3})
 
+    @pytest.mark.parametrize("exponent", [0x10000, 0x1FFFF, -1])
+    def test_exponent_outside_its_bits_refused(self, exponent):
+        """The guest reads only `exponent_bits` bits of the exponent, so
+        one it would silently change is refused."""
+        with pytest.raises(InvalidConfig, match="0..65535"):
+            build_guest("modexp128", "CI-AE", {"exponent": exponent})
+
+    def test_exponent_at_the_top_of_its_bits(self):
+        guest = build_guest("modexp128", "CI-AE", {"exponent": 0xFFFF})
+        machine, stats = run_guest(guest)
+        assert stats.stop_reason == "halt"
+        assert guest.read_value(machine, "result") == \
+            pow(3, 0xFFFF, guest.meta["modulus"])
+
 
 class TestLadder:
     @pytest.mark.parametrize("config", ("CI-AE", "CI-PE"))
@@ -133,7 +189,7 @@ class TestLadder:
         assert guest.read_value(machine, "out_x") == x2
         assert guest.read_value(machine, "out_z") == z2
         # projective pair reduces to the expected affine coordinate
-        p = guests.P25519
+        p = P25519
         affine = x2 * pow(z2, -1, p) % p
         got = guest.read_value(machine, "out_x") * \
             pow(guest.read_value(machine, "out_z"), -1, p) % p
@@ -146,12 +202,16 @@ class TestLadder:
         x2, z2 = ladder_reference(9, 1, 1)
         assert guest.read_value(machine, "out_x") == x2
         assert guest.read_value(machine, "out_z") == z2
-        p = guests.P25519
+        p = P25519
         assert x2 * pow(z2, -1, p) % p == 9  # 1 * P has u-coordinate 9
 
     def test_scalar_width_guard(self):
         with pytest.raises(InvalidConfig):
             build_guest("x25519_ladder", "BA", {"scalar": 1 << 40})
+
+    def test_negative_scalar_refused(self):
+        with pytest.raises(InvalidConfig, match="scalar must be at least 0"):
+            build_guest("x25519_ladder", "CI-AE", {"scalar": -5})
 
 
 class TestCodeShape:
