@@ -6,15 +6,17 @@ from mmulrv import machine as machine_module
 from mmulrv.asm import Asm
 from mmulrv.guests import build_guest
 from mmulrv.isa import Cpu
-from mmulrv.machine import DATA_BASE, Machine, Memory
+from mmulrv.machine import DATA_BASE, DEFAULT_MEM_SIZE, Machine, Memory
 from mmulrv.perf import RunStats
 from reference_core import ReferenceCpu
 
 LATENCIES = [(1, 1), (2, 3), (3, 1)]  # (read, write) pairs of twin runs
 
 
-def make_machine(read_latency=1, write_latency=1, max_words=8):
-    mem = Memory(read_latency=read_latency, write_latency=write_latency)
+def make_machine(read_latency=1, write_latency=1, max_words=8,
+                 size=DEFAULT_MEM_SIZE):
+    mem = Memory(size=size, read_latency=read_latency,
+                 write_latency=write_latency)
     return Machine(memory=mem, max_words=max_words)
 
 
@@ -29,13 +31,14 @@ def machine_state(m):
              for name in RunStats.COUNTERS + RunStats.STOP_FIELDS])
 
 
-def twins(load, rl=1, wl=1, **run):
-    """Runs the machine that `load` sets up on `isa.Cpu` and on
-    `ReferenceCpu`, with `run` as the keywords of both runs; returns the
-    fast core's machine and stats once both ended in identical state."""
+def twins(load, rl=1, wl=1, size=DEFAULT_MEM_SIZE, **run):
+    """Runs the machine that `load` sets up, with `size` bytes of memory,
+    on `isa.Cpu` and on `ReferenceCpu`, with `run` as the keywords of both
+    runs; returns the fast core's machine and stats once both ended in
+    identical state."""
     ends = []
     for core in (Cpu, ReferenceCpu):
-        m = make_machine(read_latency=rl, write_latency=wl)
+        m = make_machine(read_latency=rl, write_latency=wl, size=size)
         load(m)
         ends.append((m, core(m).run(**run)))
     assert machine_state(ends[0][0]) == machine_state(ends[1][0])
