@@ -466,6 +466,10 @@ def emit_ladder_x25519_field(name, config, inputs):
         inputs = {**inputs, "scalar_bits": scalar_bits}
     if scalar_bits < 1 or scalar_bits > 32:  # the scalar sits in one word
         raise InvalidConfig("scalar_bits must be in 1..32 at desk scale")
+    top = (1 << scalar_bits) - 1  # the guest reads only these bits
+    if scalar > top:
+        raise InvalidConfig(f"scalar must be in 0..{top} for scalar_bits "
+                            f"{scalar_bits}")
     W = ctx.words
     dl.alloc("r2", W, ctx.r2_mod_n)
     dl.alloc("one", W, 1)

@@ -224,6 +224,9 @@ RUN_ONCE = ["run", "--guest", "montmul_once"]
     (["run", "--guest", "modexp128", "--config", "CI-AE",
       "--set", "exponent=0x1FFFF"],
      "exponent must be in 0..65535 for exponent_bits 16"),
+    (["run", "--guest", "x25519_ladder", "--config", "CI-AE",
+      "--set", "scalar=0x1FF", "--set", "scalar_bits=4"],
+     "scalar must be in 0..15 for scalar_bits 4"),
     (RUN_ONCE + ["--config", "CI-AE", "--set", "modulus=239", "--set",
                  "words=1", "--budget", "-5"], "--budget must be at least 0"),
     (["compare", "--guest", "montmul_once", "--budget", "-1"],
@@ -238,6 +241,7 @@ RUN_ONCE = ["run", "--guest", "montmul_once"]
         "selftest-words", "run-words-above-encoding",
         "selftest-words-above-encoding", "selftest-vectors", "irq-negative",
         "sweep-negative-start", "irq-with-sweep", "scalar-bits-zero", "set-exponent-too-wide",
+        "set-scalar-too-wide",
         "run-budget-negative",
         "compare-budget-negative", "set-modulus-negative",
         "set-words-negative", "compare-set-words-zero"])

@@ -209,6 +209,24 @@ class TestLadder:
         with pytest.raises(InvalidConfig):
             build_guest("x25519_ladder", "BA", {"scalar": 1 << 40})
 
+    @pytest.mark.parametrize("scalar,bits", [(0x1FF, 4), (0x10, 4),
+                                             (1 << 32, 32)])
+    def test_scalar_outside_its_bits_refused(self, scalar, bits):
+        """The guest reads only `scalar_bits` bits of the scalar, so a
+        wider one would run as its low bits while `meta` kept it whole."""
+        with pytest.raises(InvalidConfig, match="scalar must be in 0.."):
+            build_guest("x25519_ladder", "BA",
+                        {"scalar": scalar, "scalar_bits": bits})
+
+    def test_scalar_at_the_top_of_its_bits(self):
+        guest = build_guest("x25519_ladder", "CI-AE",
+                            {"scalar": 0xF, "scalar_bits": 4})
+        machine, stats = run_guest(guest)
+        assert stats.stop_reason == "halt"
+        x2, z2 = ladder_reference(9, 0xF, 4)
+        assert guest.read_value(machine, "out_x") == x2
+        assert guest.read_value(machine, "out_z") == z2
+
     def test_negative_scalar_refused(self):
         with pytest.raises(InvalidConfig, match="scalar must be at least 0"):
             build_guest("x25519_ladder", "CI-AE", {"scalar": -5})

@@ -68,7 +68,7 @@ def test_ba_blocks_index_the_word_view(monkeypatch, unshared):
 
     monkeypatch.setattr(isa, "exec", recorded, raising=False)
     for name, params in (("montmul_once", {}), ("modexp256", {}),
-                         ("x25519_ladder", {"scalar_bits": 4})):
+                         ("x25519_ladder", {"scalar": 0xB, "scalar_bits": 4})):
         _, stats = build_guest(name, "BA", params).run()
         assert stats.stop_reason == "halt"
     source = "\n".join(sources)
