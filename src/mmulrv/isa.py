@@ -27,7 +27,21 @@ instructions before it retire.  Past the block's own alignment and bounds
 test, a translated `lw` or `sw` indexes `Memory.words`, the aligned word
 view of the memory's bytes (QEMU's inline fast path for guest memory), so
 a word store calls no `Memory` method unless it falls below `code_top`;
-byte and halfword accesses use the bytes.
+byte and halfword accesses use the bytes.  A block tests each distinct
+(base register, offset, width) once until that register is written, and
+when the memory size is a power of two the test is one mask, so the size
+is part of the key under which machines share blocks.
+
+A translated block keeps the registers it touches in Python locals, loaded
+once per call and written back at every exit.  A loop block, one whose
+last instruction is a conditional branch to its own first, runs all its
+passes in one call (the hot-loop fragments of Dynamo, Bala et al., PLDI
+2000): its body sits inside `while True:`, and its back edge goes on only
+while the next whole pass's last instruction starts before the wake.  So a
+call retires exactly the passes that one call per pass would, and the run
+stops at the same instruction boundary.  Each exit, whether a fault, a
+store into code, the fall-through or the wake, adds n whole passes' counts
+and those of the partial pass once.
 
 Timing: 1 cycle per retired instruction (covers a single-cycle fetch),
 +1 cycle per taken control transfer, plus memory wait-states beyond the
@@ -378,40 +392,71 @@ def _plus(a, imm):
     return f"{a} + {imm & M32} & 0xFFFFFFFF" if imm else a
 
 
-def _translate(pc, decodes, read_latency, write_latency):
-    """The block of the decoded units `decodes` at `pc` as (run, end):
-    `run(m, limit)` retires it, adding its counts in bulk, and returns its
-    cycles, or only its first instruction if its last would start `limit`
-    or more cycles after the block does; `end` is the end of its fetch
-    windows.
+def _translate(pc, decodes, read_latency, write_latency, size):
+    """The block of the decoded units `decodes` at `pc`, in a memory of
+    `size` bytes, as (run, end): `run(m, limit)` retires it, adding its
+    counts in bulk, and returns its cycles, or only its first instruction
+    if its last would start `limit` or more cycles after the block does;
+    `end` is the end of its fetch windows.
+
+    The registers the block touches are locals: loaded once per call and
+    written back at every exit.  A loop block, whose last instruction is a
+    conditional branch to `pc`, runs its body inside `while True:` and
+    counts its passes in n.  Its back edge continues while the next whole
+    pass's last instruction starts before `limit`, as one call per pass
+    would, and each exit adds n passes' counts and those of the partial
+    pass once.
 
     An access that would fault retires the instructions before it, leaves
-    m.pc at it and calls the machine's LSU, which raises.  Past that test,
-    `lw` and `sw` index the memory's word view `w`; a store below
-    `code_top` invalidates what it overlaps and ends the block."""
+    m.pc at it and calls the machine's LSU, which raises.  Each distinct
+    (base register, offset, width) is tested once until its base register
+    is written; when `size` is a power of two the alignment and bounds test
+    is one mask.  Past that test, `lw` and `sw` index the memory's word
+    view `w`; a store below `code_top`, read once per call, invalidates
+    what it overlaps and ends the block."""
+    cases = [_EXECUTE[d.kind] for d in decodes]
+    costs = [BASE_CPI + read_latency - 1
+             + (read_latency - 1 if case == "load" else
+                write_latency - 1 if case == "store" else
+                TAKEN_BRANCH_PENALTY if case == "jump" else 0)
+             for case, _ in cases]
+    last = pc + sum(d.length for d in decodes[:-1]) & M32
+    loop = cases[-1][0] == "branch" and last + decodes[-1].imm & M32 == pc
+    per_pass = (sum(costs) + TAKEN_BRANCH_PENALTY, len(decodes),
+                sum(case == "load" for case, _ in cases),
+                sum(case == "store" for case, _ in cases))
+    touched = sorted({r for d in decodes for r in (d.rd, d.rs1, d.rs2) if r})
+    write_back = "".join(f"x[{r}] = x{r}; " for r in touched
+                         if any(d.rd == r for d in decodes))
     count = cycles = reads = writes = 0
 
-    def retire(to, extra=0, then=None):  # every translated kind uses the ALU
-        """Retire the first `count` instructions, then leave at `to`, or
-        run the statement `then`."""
-        return (f"m.pc = {to}; m.cycle += {cycles + extra}; s = m.stats; "
-                f"s.retired += {count}; s.alu_cycles += {count}; "
-                + "".join(f"s.mem_{name} += {n}; " for name, n
-                          in (("reads", reads), ("writes", writes)) if n)
-                + (f"return {cycles + extra}" if then is None else then))
+    def retire(to, extra=0, then=None, part=None):  # all use the ALU
+        """Write the registers back and retire n passes and `part`, by
+        default the (cycles + `extra`, count, reads, writes) of this pass
+        so far, then leave at `to`, or run `then`."""
+        part = part or (cycles + extra, count, reads, writes)
+        total = [str(done) if not loop or not whole else
+                 f"n * {whole} + {done}" if done else f"n * {whole}"
+                 for whole, done in zip(per_pass, part)]
+        return (f"{write_back}m.pc = {to}; t = {total[0]}; m.cycle += t; "
+                f"s = m.stats; s.retired += {total[1]}; "
+                f"s.alu_cycles += {total[1]}; "
+                + "".join(f"s.mem_{name} += {n}; " for name, n, whole
+                          in zip(("reads", "writes"), total[2:],
+                                 per_pass[2:]) if whole)
+                + ("return t" if then is None else then))
 
-    lines = []
+    lines, checked = [], set()
     at = pc
-    for i, d in enumerate(decodes):
-        case, value = _EXECUTE[d.kind]
+    for i, (d, (case, value)) in enumerate(zip(decodes, cases)):
         if i == 1:  # where the first instruction alone retires
             split = len(lines), retire(at)
-        head, fault = cycles, retire(at, then="") if count else ""
+        head, fault = cycles, retire(at, then="")
         count += 1
-        cycles += BASE_CPI + read_latency - 1
+        cycles += costs[i]
         after = (at + d.length) & M32
-        rd = f"x[{d.rd}] = " if d.rd else "_ = "
-        a, b = (f"x[{r}]" if r else "0" for r in (d.rs1, d.rs2))
+        rd = f"x{d.rd} = " if d.rd else "_ = "
+        a, b = (f"x{r}" if r else "0" for r in (d.rs1, d.rs2))
         if d.kind == "addi":
             lines.append(rd + _plus(a, d.imm))
         elif case == "alu":
@@ -422,50 +467,69 @@ def _translate(pc, decodes, read_latency, write_latency):
             load = case == "load"
             n = value[0] if load else value
             reads, writes = reads + load, writes + (not load)
-            cycles += (read_latency if load else write_latency) - 1
-            misaligned = f"a & {n - 1} or " if n > 1 else ""
-            lsu = f"m.{case}_" + ("word(a" if n == 4 else f"scalar(a, {n}") \
-                + ("" if load else f", {b}") + ")"
-            lines += [f"a = {_plus(a, d.imm)}",
-                      f"if {misaligned}a + {n} > size: {fault}{lsu}"]
+            addr = _plus(a, d.imm)
+            if addr != a and not addr.isdigit():
+                lines.append(f"a = {addr}")
+                addr = "a"
+            lsu = f"m.{case}_" + ("word(" if n == 4 else "scalar(") + addr \
+                + ("" if n == 4 else f", {n}") + ("" if load else f", {b}") \
+                + ")"
+            if (d.rs1, d.imm, n) not in checked:
+                checked.add((d.rs1, d.imm, n))
+                test = f"{addr} & {M32 & -size | n - 1}" \
+                    if size & size - 1 == 0 else \
+                    (f"{addr} & {n - 1} or " if n > 1 else "") \
+                    + f"{addr} > {size - n}"
+                lines.append(f"if {test}: {fault}{lsu}")
             if load and n == 4:
-                lines.append(rd + "w[a >> 2]")
+                lines.append(rd + f"w[{addr} >> 2]")
             elif load:
-                lines.append(rd + f"int.from_bytes(data[a:a + {n}], 'little'"
-                             + (", signed=True) & 0xFFFFFFFF"
-                                if value[1] else ")"))
+                lines.append(rd + f"int.from_bytes(data[{addr}:{addr} + {n}],"
+                             " 'little'" + (", signed=True) & 0xFFFFFFFF"
+                                            if value[1] else ")"))
             else:  # a write below code_top invalidates what it overlaps,
                 # and the rest of the block may have been rewritten
                 rest = [retire(after)] if i < len(decodes) - 1 else []
                 if n == 4:
-                    lines.append(f"w[a >> 2] = {b}")
-                    rest.insert(0, "mem.invalidate(a, a + 4)")
+                    lines.append(f"w[{addr} >> 2] = {b}")
+                    rest.insert(0, f"mem.invalidate({addr}, {addr} + 4)")
                 else:
-                    lines.append(f"mem.write(a, {n}, {b})")
+                    lines.append(f"mem.write({addr}, {n}, {b})")
                 if rest:
-                    lines.append("if a < mem.code_top: " + "; ".join(rest))
+                    lines.append(f"if {addr} < top: " + "; ".join(rest))
         elif case == "branch":
-            taken = retire(at + d.imm & M32, TAKEN_BRANCH_PENALTY)
-            lines.append(f"if {value.format(a=a, b=b)}: {taken}")
+            taken = value.format(a=a, b=b)
+            if loop:
+                lines += [f"if {taken}:", "    n += 1",
+                          f"    if n * {per_pass[0]} + {head} < limit: "
+                          "continue",
+                          "    " + retire(pc, part=(0, 0, 0, 0))]
+            else:
+                lines.append(f"if {taken}: "
+                             + retire(at + d.imm & M32, TAKEN_BRANCH_PENALTY))
         else:  # jal, jalr: rs1 is read before the link can overwrite it
-            cycles += TAKEN_BRANCH_PENALTY
             target = at + d.imm & 0xFFFFFFFE
             if value:  # jalr
                 offset = f" + {d.imm & M32}" if d.imm else ""
-                lines.append(f"t = {a}{offset} & 0xFFFFFFFE")
-                target = "t"
+                lines.append(f"j = {a}{offset} & 0xFFFFFFFE")
+                target = "j"
             lines.append(rd + str(after))
             after = target
-        last, at = at, (at + d.length) & M32
+        checked = {key for key in checked if key[0] != d.rd}
+        at = (at + d.length) & M32
     lines.append(retire(after))
     if len(decodes) > 1:  # `head`: the cycle at which the last one starts
         lines.insert(split[0], f"if limit <= {head}: {split[1]}")
+    if loop:
+        lines = ["n = 0", "while True:"] + ["    " + line for line in lines]
+    binds = [f"x{r} = x[{r}]" for r in touched]
     if reads or writes:  # only a block that accesses memory binds it
-        lines.insert(0, "mem = m.mem; data = mem.data; w = mem.words; "
-                     "size = len(data)")
+        binds.append("mem = m.mem; data = mem.data; w = mem.words")
+    if writes:
+        binds.append("top = mem.code_top")
     namespace = {}
-    exec("def run(m, limit):\n    x = m.regs.x\n    " + "\n    ".join(lines),
-         namespace)
+    exec("def run(m, limit):\n    x = m.regs.x\n    "
+         + "\n    ".join(binds + lines), namespace)
     return namespace["run"], last + 4
 
 
@@ -559,7 +623,8 @@ def _block_at(mem, pc):
         except SimError:
             break
     run, end = (partial(_executed, first, pc), pc + 4) if not decodes else \
-        _translate(pc, decodes, mem.read_latency, mem.write_latency)
+        _translate(pc, decodes, mem.read_latency, mem.write_latency,
+                   len(mem.data))
     return mem.keep(pc, (run, first, end))
 
 

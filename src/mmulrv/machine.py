@@ -65,8 +65,9 @@ class RegisterFile:
 
 
 SHARED_IMAGES = 16  # the images whose blocks one process keeps
-# (image bytes, base, read latency, write latency) -> {pc: blocks entry},
-# oldest image first; an image gets its table when its first entry is made
+# (image bytes, base, read latency, write latency, memory size) ->
+# {pc: blocks entry}, oldest image first; an image gets its table when its
+# first entry is made
 _shared = {}
 
 
@@ -91,10 +92,11 @@ class Memory:
     the end of the highest window ever cached: a write at or above it, such
     as a data or MMUL engine store, costs one comparison.
 
-    Blocks depend only on their bytes and the latencies, so memories that
-    load the same image share them.  The first image loaded into a fresh
-    memory starts from the entries earlier memories made inside the same
-    image at the same latencies, and `code_top` rises to its end.  Each entry
+    Blocks depend only on their bytes, the latencies and the memory size
+    (their bounds tests hold it), so memories that load the same image
+    share them.  The first image loaded into a fresh memory starts from the
+    entries earlier memories of its size made inside the same image at the
+    same latencies, and `code_top` rises to its end.  Each entry
     this memory makes inside the image joins that table, until the first
     write below `code_top`, which ends the sharing for good: from then on the
     image may no longer hold its own bytes.
@@ -151,7 +153,7 @@ class Memory:
             self.invalidate(base, base + len(blob))
         elif not self.code_top and blob:  # the first image of a fresh memory
             self.image = bytes(blob), base, self.read_latency, \
-                self.write_latency
+                self.write_latency, len(self.data)
             self.blocks.update(_shared.get(self.image, ()))
             self.code_top = base + len(blob)
 

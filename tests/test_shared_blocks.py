@@ -1,7 +1,8 @@
 """Blocks shared between machines that load the same image.
 
 The first image loaded into a fresh `Memory` starts from the blocks that
-earlier memories made inside it at the same latencies, and adds its own.
+earlier memories of its size made inside it at the same latencies, and
+adds its own.
 A memory that writes below its `code_top` stops sharing for good, so code
 rewritten on one machine never runs on another: each program here runs on
 `isa.Cpu` after another machine rewrote it, and must end in the state that
@@ -13,7 +14,7 @@ import pytest
 from conftest import NEW, encoding, machine_state, make_machine
 from mmulrv import isa
 from mmulrv.asm import Asm
-from mmulrv.machine import SHARED_IMAGES
+from mmulrv.machine import DEFAULT_MEM_SIZE, SHARED_IMAGES
 from reference_core import ReferenceCpu
 
 
@@ -37,8 +38,8 @@ def _program(store):
     return a.assemble(), a.labels["loop"]
 
 
-def _loaded(code, rl=1, wl=1):
-    m = make_machine(read_latency=rl, write_latency=wl)
+def _loaded(code, rl=1, wl=1, size=DEFAULT_MEM_SIZE):
+    m = make_machine(read_latency=rl, write_latency=wl, size=size)
     m.load_image(code, 0)
     return m
 
@@ -90,12 +91,13 @@ def test_a_machine_that_writes_its_image_before_running_shares_nothing(
 
 def test_machines_that_load_one_image_share_its_blocks(unshared):
     """A second machine starts from the first one's blocks, and only at the
-    same latencies; an image that never runs an instruction gets no
-    table."""
+    same latencies and memory size, which its blocks' bounds tests hold;
+    an image that never runs an instruction gets no table."""
     code, _ = _program(store=False)
     first = _run(isa.Cpu, _loaded(code))
     assert _loaded(code).mem.blocks == first.mem.blocks != {}
     assert _loaded(code, rl=2).mem.blocks == {}
+    assert _loaded(code, size=DEFAULT_MEM_SIZE // 2).mem.blocks == {}
     _loaded(b"\x13\x00\x00\x00" + code)
     assert len(unshared) == 1
 

@@ -72,7 +72,7 @@ def test_ba_blocks_index_the_word_view(monkeypatch, unshared):
         _, stats = build_guest(name, "BA", params).run()
         assert stats.stop_reason == "halt"
     source = "\n".join(sources)
-    assert "x[5] = w[a >> 2]" in source and "w[a >> 2] = x[5]" in source
+    assert "x5 = w[x8 >> 2]" in source and "w[x8 >> 2] = x5" in source
     assert "mem.write(" not in source
     assert "int.from_bytes" not in source
     assert "+ 0 &" not in source
