@@ -52,7 +52,8 @@ BUDGET = 200_000  # far beyond any drawn program's length
 @st.composite
 def loops(draw, pointers, data_regs):
     """One counted loop: (passes, branch kind, first counter value, body,
-    each pointer's start: "window", "top" at pass k, or "misaligned")."""
+    each pointer's start: "window", "top" or "misaligned", and each
+    pointer's pass k > 0 at which a "top" walk first leaves memory)."""
     regs = data_regs + pointers
     passes = draw(st.integers(1, 8), label="passes")
     branch = draw(st.sampled_from(("bne", "blt", "bltu")), label="branch")
