@@ -3,20 +3,21 @@
 A compressed unit is expanded to the 32-bit word the RVC spec defines for
 it, built with the format encoders of `encoding.py`, and decoded as that
 word; only its length (2) differs.  The decoder reads the per-class tables
-below, the executor table is built from them, and the assembler derives
-its emitters from them.  The ALU, `lui`/`auipc`, load, store, branch and
-jump kinds have one implementation: `_translate` compiles a straight run
-of them, up to its first control transfer, into one generated Python
-function (QEMU's translation blocks).  CSR, `mret`, `ecall`, `ebreak`
-and `fence` have hand-written executors instead, each run as a
-one-instruction block.  A straight run of MMUL units is one block, whose
+below, the translator's case table is built from them, and the assembler
+derives its emitters from them.  Every kind but MMUL has one
+implementation: `_translate` compiles a straight run of ALU, `lui`/`auipc`,
+load and store units, up to and including its first branch, jump, CSR,
+`mret`, `ecall`, `ebreak` or `fence`, into one generated Python function
+(QEMU's translation blocks).  A CSR or system instruction may change state
+the block depends on, so it ends the block and acts once the instructions
+before it retire.  A straight run of MMUL units is one block, whose
 function retires every MMUL issue: a middle issue of a partial sequence
-costs a fixed number of cycles and only adds one to the engine's bit
-index, so the run retires in one call, with one addition of k to it, the
-middle issues that start before the wake.  The engine computes the product
-once, at the last issue: the model shows nothing of a sequence in flight
-but `MMUL_STATUS`, the busy bit and the bit index.  Any other issue
-retires alone, in one call to the engine.
+costs a fixed number of cycles and only adds one to the engine's bit index,
+so the run retires in one call, with one addition of k to it, the middle
+issues that start before the wake.  The engine computes the product once,
+at the last issue: the model shows nothing of a sequence in flight but
+`MMUL_STATUS`, the busy bit and the bit index.  Any other issue retires
+alone, in one call to the engine.
 `Memory.blocks` keeps one block per pc for both `Cpu.run` and `Cpu.step`; a
 block splits itself at the wake, a translated one retiring only its first
 instruction when the wake falls before its last one starts, so `step` runs
@@ -48,7 +49,7 @@ Timing: 1 cycle per retired instruction (covers a single-cycle fetch),
 first cycle for fetch and data accesses.  MMUL engine occupancy is added
 on top and never double-counted.  Interrupt entry costs 3 cycles.  The
 model is fixed and the same for BA/CI-AE/CI-PE.  A retirement adds only to
-`retired` and, for a translated kind, `alu_cycles`: every retired
+`retired` and, for a kind that uses the ALU, `alu_cycles`: every retired
 instruction is fetched, decoded and reads the register file, so
 `RunStats.settle` derives those three counters from `retired` when `run`
 ends and after each `step`.
@@ -324,63 +325,39 @@ TAKEN_BRANCH_PENALTY = 1  # extra cycles of a taken control transfer
 TRAP_ENTRY_CYCLES = 3     # cycles of an interrupt entry
 
 
-# An executor gets (machine, decoded, its pc, its table value), sets m.pc
-# only to transfer control, and returns its cycles beyond BASE_CPI + wait.
-# Only the kinds that `_translate` does not compile have one.
-
-def _csr(m, d, pc, spec):
-    op, imm_form = spec
-    if op != "write" and not d.rs1:
-        op = "read"  # set/clear with x0 or a zero immediate writes nothing
-    src = d.rs1 if imm_form else m.regs.x[d.rs1]
-    m.regs.write(d.rd, m.csr_access(d.csr, op, src))
-    return 0
-
-
-def _mret(m, d, pc, _):
+def _mret(m):
+    """Leave the trap handler, restoring mstatus.MIE from MPIE; returns
+    mepc, where the handler returns to."""
     status = m.csr[MSTATUS]
     mie = MSTATUS_MIE if status & MSTATUS_MPIE else 0
     m.csr[MSTATUS] = (status & ~MSTATUS_MIE) | mie | MSTATUS_MPIE
-    m.pc = m.csr[MEPC]
     m.in_handler = False
-    return TAKEN_BRANCH_PENALTY
+    return m.csr[MEPC]
 
 
-def _ecall(m, d, pc, _):
-    # halt convention: a0 carries the exit code
-    m.halted = True
-    m.exit_code = m.regs.x[10]
-    return 0
-
-
-def _ebreak(m, d, pc, _):
-    raise IllegalInstruction("ebreak (no debugger attached)")
-
-
-def _fence(m, d, pc, _):  # a no-op in this model
-    return 0
-
-
-# kind -> (executor, its table value).  A kind that `_translate` compiles
-# names its case there instead, and an ALU or branch kind's value is its
-# table row's result, with an immediate form's operand b as {imm}.
+# kind -> (its `_translate` case, its table value).  An ALU or branch
+# kind's value is its table row's result, with an immediate form's operand
+# b as {imm}; a system kind's is its code once the instructions before it
+# retire, which leaves m.pc past it ({after}) and adds its own cost ({own}).
 _EXECUTE = {
     "lui": ("upper", False), "auipc": ("upper", True),
     "jal": ("jump", False), "jalr": ("jump", True),
-    "mret": (_mret, None), "ecall": (_ecall, None),
-    "ebreak": (_ebreak, None), "fence": (_fence, None),
+    # ecall halts with the exit code in a0; fence is a no-op in this model
+    "mret": ("system", "m.pc = _mret(m); {own}"),
+    "ecall": ("system",
+              "m.halted = True; m.exit_code = x[10]; m.pc = {after}; {own}"),
+    "ebreak": ("system",
+               'raise IllegalInstruction("ebreak (no debugger attached)")'),
+    "fence": ("system", "m.pc = {after}; {own}"),
     **{reg: ("alu", result) for reg, _, result in _ALU.values()},
     **{imm: ("alu", result.replace("{b}", "{imm}"))
        for _, imm, result in _ALU.values() if imm},
     **{kind: ("branch", taken) for kind, taken in _BRANCH.values()},
     **{kind: ("load", spec) for kind, spec in _LOAD.values()},
     **{kind: ("store", nbytes) for kind, nbytes in _STORE.values()},
-    **{kind: (_csr, spec) for kind, spec in _CSR.values()},
+    **{kind: ("csr", spec) for kind, spec in _CSR.values()},
 }
-
-# The translated kinds, exactly those that use the ALU.  CSR, mret, ecall,
-# ebreak and fence keep their executors, MMUL its run, and none is compiled.
-_TRANSLATED = {k for k, (case, _) in _EXECUTE.items() if isinstance(case, str)}
+_STRAIGHT = ("alu", "upper", "load", "store")  # the cases a block runs past
 
 
 def _plus(a, imm):
@@ -413,21 +390,30 @@ def _translate(pc, decodes, read_latency, write_latency, size):
     is written; when `size` is a power of two the alignment and bounds test
     is one mask.  Past that test, `lw` and `sw` index the memory's word
     view `w`; a store below `code_top`, read once per call, invalidates
-    what it overlaps and ends the block."""
+    what it overlaps and ends the block.
+
+    A CSR or system instruction is always last.  It first retires the
+    instructions before it, as a fault does, so a CSR reads `mcycle` at
+    its own start and a fault leaves m.pc at it; then it acts, through
+    `m.csr_access` for a CSR, and adds its own cycles to `retired` but not
+    to `alu_cycles`."""
     cases = [_EXECUTE[d.kind] for d in decodes]
     costs = [BASE_CPI + read_latency - 1
              + (read_latency - 1 if case == "load" else
                 write_latency - 1 if case == "store" else
-                TAKEN_BRANCH_PENALTY if case == "jump" else 0)
-             for case, _ in cases]
+                TAKEN_BRANCH_PENALTY if case == "jump" or d.kind == "mret"
+                else 0)
+             for d, (case, _) in zip(decodes, cases)]
     last = pc + sum(d.length for d in decodes[:-1]) & M32
     loop = cases[-1][0] == "branch" and last + decodes[-1].imm & M32 == pc
     per_pass = (sum(costs) + TAKEN_BRANCH_PENALTY, len(decodes),
                 sum(case == "load" for case, _ in cases),
                 sum(case == "store" for case, _ in cases))
-    touched = sorted({r for d in decodes for r in (d.rd, d.rs1, d.rs2) if r})
+    system = cases[-1][0] in ("csr", "system")
+    straight = decodes[:-1] if system else decodes  # a system kind uses x
+    touched = sorted({r for d in straight for r in (d.rd, d.rs1, d.rs2) if r})
     write_back = "".join(f"x[{r}] = x{r}; " for r in touched
-                         if any(d.rd == r for d in decodes))
+                         if any(d.rd == r for d in straight))
     count = cycles = reads = writes = 0
 
     def retire(to, extra=0, then=None, part=None):  # all use the ALU
@@ -507,7 +493,7 @@ def _translate(pc, decodes, read_latency, write_latency, size):
             else:
                 lines.append(f"if {taken}: "
                              + retire(at + d.imm & M32, TAKEN_BRANCH_PENALTY))
-        else:  # jal, jalr: rs1 is read before the link can overwrite it
+        elif case == "jump":  # rs1 is read before the link overwrites it
             target = at + d.imm & 0xFFFFFFFE
             if value:  # jalr
                 offset = f" + {d.imm & M32}" if d.imm else ""
@@ -515,9 +501,24 @@ def _translate(pc, decodes, read_latency, write_latency, size):
                 target = "j"
             lines.append(rd + str(after))
             after = target
+        else:  # a CSR or system kind, always last: it acts once the
+            # instructions before it retire, with m.pc at it
+            if case == "csr":
+                op, imm_form = value
+                if op != "write" and not d.rs1:
+                    op = "read"  # set/clear with x0 or a zero immediate
+                value = (f"x[{d.rd}] = " if d.rd else "") \
+                    + f"m.csr_access({d.csr}, '{op}', " \
+                    + (str(d.rs1) if imm_form else f"x[{d.rs1}]") \
+                    + "); m.pc = {after}; {own}"
+            own = f"m.cycle += {costs[i]}; m.stats.retired += 1; return " \
+                + ("t + " if i else "") + str(costs[i])
+            lines.append((fault if i else "")
+                         + value.format(after=after, own=own))
         checked = {key for key in checked if key[0] != d.rd}
         at = (at + d.length) & M32
-    lines.append(retire(after))
+    if not system:
+        lines.append(retire(after))
     if len(decodes) > 1:  # `head`: the cycle at which the last one starts
         lines.insert(split[0], f"if limit <= {head}: {split[1]}")
     if loop:
@@ -527,26 +528,10 @@ def _translate(pc, decodes, read_latency, write_latency, size):
         binds.append("mem = m.mem; data = mem.data; w = mem.words")
     if writes:
         binds.append("top = mem.code_top")
-    namespace = {}
+    namespace = {"_mret": _mret, "IllegalInstruction": IllegalInstruction}
     exec("def run(m, limit):\n    x = m.regs.x\n    "
          + "\n    ".join(binds + lines), namespace)
     return namespace["run"], last + 4
-
-
-def _executed(d, pc, m, limit):
-    """The one-instruction block of `d` at `pc`, a kind with an executor,
-    which `limit` does not split.  A fault leaves m.pc at the instruction."""
-    execute, value = _EXECUTE[d.kind]
-    m.pc = (pc + d.length) & M32  # a control transfer overwrites it
-    try:
-        extra = execute(m, d, pc, value)
-    except SimError:
-        m.pc = pc
-        raise
-    cycles = BASE_CPI + m.mem.read_latency - 1 + extra
-    m.cycle += cycles
-    m.stats.retired += 1
-    return cycles
 
 
 def _mmul_run(d, pc, count, cost, m, limit):
@@ -589,15 +574,15 @@ def _mmul_run(d, pc, count, cost, m, limit):
 
 def _block_at(mem, pc):
     """The entry of `pc` in `mem.blocks`, made on its first visit: (its
-    block, translated, an MMUL run or, for another kind with an executor,
-    `_executed`; that decode; the end of its fetch windows).  The visit
-    that finds an MMUL run makes the entries of all its units from `pc`
-    on, each the rest of the run, in its one scan.  A fault fetching or
-    decoding the first unit raises and caches nothing; a later one ends
-    the block.  An entry whose windows lie inside the image the memory
-    shares its blocks for is added to that image's table."""
-    first = d = decode(mem.fetch_unit(pc))
-    decodes, at = [], pc
+    block, translated or an MMUL run; its first decode; the end of its
+    fetch windows).  A translated block ends at its first branch, jump,
+    CSR or system instruction, before an MMUL unit, or before a unit
+    whose fetch or decode faults.  The visit that finds an MMUL run makes
+    the entries of all its units from `pc` on, each the rest of the run,
+    in its one scan.  A fault fetching or decoding the first unit raises
+    and caches nothing.  An entry whose windows lie inside the image the
+    memory shares its blocks for is added to that image's table."""
+    d = decode(mem.fetch_unit(pc))
     if d.kind == "mmul":
         units = []
         try:
@@ -613,19 +598,19 @@ def _block_at(mem, pc):
             mem.keep(at, (partial(_mmul_run, unit, at, len(units) - i, cost),
                           unit, end))
         return mem.blocks[pc]
-    while d.kind in _TRANSLATED:
+    decodes, at = [], pc
+    while d.kind != "mmul":
         decodes.append(d)
         at = (at + d.length) & M32
-        if _EXECUTE[d.kind][0] in ("branch", "jump"):
+        if _EXECUTE[d.kind][0] not in _STRAIGHT:
             break
         try:
             d = decode(mem.fetch_unit(at))
         except SimError:
             break
-    run, end = (partial(_executed, first, pc), pc + 4) if not decodes else \
-        _translate(pc, decodes, mem.read_latency, mem.write_latency,
-                   len(mem.data))
-    return mem.keep(pc, (run, first, end))
+    run, end = _translate(pc, decodes, mem.read_latency, mem.write_latency,
+                          len(mem.data))
+    return mem.keep(pc, (run, decodes[0], end))
 
 
 class Cpu:

@@ -85,8 +85,8 @@ class Memory:
     operand at a time.
 
     `blocks` is the core's one per-pc cache: the block that starts at a pc
-    (a translated run, a run of MMUL units or one executor instruction)
-    and the decode of its first instruction.  Every write drops the entries
+    (a translated run or a run of MMUL units) and the decode of its first
+    instruction.  Every write drops the entries
     whose fetch windows (4 bytes from each of their instructions' pcs) it
     overlaps, so a store into code is seen by the next fetch.  `code_top` is
     the end of the highest window ever cached: a write at or above it, such
